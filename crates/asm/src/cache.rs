@@ -1,18 +1,18 @@
 //! Content-addressed, in-memory measurement cache.
 //!
-//! The bench harnesses and tier-2 gates measure the *same* compiled
-//! programs repeatedly — once per rep of `interp_bench`, once per budget
-//! check, once per refinement sweep. A [`Measurement`] is a pure function
-//! of `(program, entry function, arguments, stack size, fuel)`, so it can
-//! be memoized under a content-addressed key:
+//! Verification re-measures the *same* compiled programs repeatedly —
+//! once per served repeat request, once per re-verified edit that left
+//! `main` alone, once per refinement sweep. A [`Measurement`] is a pure
+//! function of `(program, entry function, arguments, stack size, fuel)`,
+//! so it can be memoized under a content-addressed key:
 //!
 //! ```text
 //! key = FNV-1a-128(program ‖ fname ‖ args ‖ sz ‖ fuel)
 //! ```
 //!
-//! computed as two independent 64-bit FNV-1a streams over the `Hash`
-//! encoding of the inputs (different offset bases, so a collision must
-//! defeat both streams at once). The cache is `Sync` — a `Mutex` around a
+//! computed as the two [`Fnv64::pair`] streams over the `Hash` encoding
+//! of the inputs (different offset bases, so a collision must defeat
+//! both streams at once). The cache is `Sync` — a `Mutex` around a
 //! plain `HashMap` — and the lock is never held across a machine run, so
 //! `--parallel-measure` workers can share one cache. Hits and misses are
 //! published as the `obs` counters `asm/cache_hit` / `asm/cache_miss` and
@@ -25,17 +25,26 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// A 64-bit FNV-1a stream with a caller-chosen offset basis, used as a
-/// [`Hasher`] so the cache key can be fed through `#[derive(Hash)]`.
-struct Fnv64 {
+/// A 64-bit FNV-1a stream, usable as a [`Hasher`] so keys can be fed
+/// through `#[derive(Hash)]`.
+///
+/// The workspace's content keys are 128 bits wide: the two streams of
+/// [`Fnv64::pair`] over the same bytes. This cache keys measurements that
+/// way, and so does `vcache`, whose keys are persisted on disk.
+#[derive(Debug, Clone)]
+pub struct Fnv64 {
     state: u64,
 }
 
 impl Fnv64 {
     const PRIME: u64 = 0x0000_0100_0000_01b3;
 
-    fn with_basis(basis: u64) -> Fnv64 {
-        Fnv64 { state: basis }
+    /// The two streams of a 128-bit key: the standard FNV-1a offset
+    /// basis, and a second basis that is the first hashed by itself. Any
+    /// fixed distinct value works; the streams see the same bytes but
+    /// never agree on state, so a collision must defeat both at once.
+    pub fn pair() -> [Fnv64; 2] {
+        [0xcbf2_9ce4_8422_2325, 0x6c62_272e_07bb_0142].map(|state| Fnv64 { state })
     }
 }
 
@@ -56,11 +65,7 @@ impl Hasher for Fnv64 {
 struct Key(u64, u64);
 
 fn key(program: &AsmProgram, fname: &str, args: &[u32], sz: u32, fuel: u64) -> Key {
-    // Standard FNV-1a offset basis, and a second stream whose basis is the
-    // basis hashed by itself — any fixed distinct value works; the two
-    // streams see the same bytes but never agree on state.
-    let mut h1 = Fnv64::with_basis(0xcbf2_9ce4_8422_2325);
-    let mut h2 = Fnv64::with_basis(0x6c62_272e_07bb_0142);
+    let [mut h1, mut h2] = Fnv64::pair();
     for h in [&mut h1, &mut h2] {
         program.hash(h);
         fname.hash(h);

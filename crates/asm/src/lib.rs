@@ -68,7 +68,7 @@ mod machine;
 pub mod monitor;
 pub mod profile;
 
-pub use cache::MeasureCache;
+pub use cache::{Fnv64, MeasureCache};
 pub use machine::{Machine, MachineError};
 pub use monitor::{
     measure_function, measure_function_reference, measure_main, measure_main_reference, Measurement,

@@ -100,10 +100,9 @@ pub fn measure_main(program: &AsmProgram, sz: u32, fuel: u64) -> Result<Measurem
 /// [`measure_function`] on the reference one-instruction-at-a-time core
 /// ([`Machine::run_reference`]) instead of the pre-decoded fast core.
 ///
-/// Exists for differential testing and for `interp_bench`'s before/after
-/// comparison; the returned [`Measurement`] is identical to
-/// [`measure_function`]'s by construction (and `tests/interp_equiv.rs`
-/// holds us to it).
+/// Exists for differential testing; the returned [`Measurement`] is
+/// identical to [`measure_function`]'s by construction (and
+/// `tests/interp_equiv.rs` holds us to it).
 ///
 /// # Errors
 ///

@@ -2,31 +2,26 @@
 //!
 //! `obs_regress` runs the full corpus (Table 1 + extras + the Table 2
 //! recursive cases) through the cached [`stackbound::Verifier`] under an
-//! installed [`obs`] recorder, reduces the recorded report to a flat list
-//! of metrics, and compares them against a checked-in baseline
-//! (`ci/obs_baselines/suite.txt`) with per-metric tolerance rules. A
-//! counter that drifts, a span that disappears, or a stage that blows
-//! through its wall-clock ceiling fails CI — instrumentation regressions
-//! are caught like any other regression.
+//! installed [`obs`] recorder and compares every global counter against
+//! a checked-in baseline (`ci/obs_baselines/suite.txt`). The counters
+//! encode *behaviour*: cache hits and misses, `qhl/rule/*` applications,
+//! `stacklint/*` verdicts, machine steps. A counter that drifts or
+//! disappears fails CI, so instrumentation regressions are caught like
+//! any other regression. Timing is not gated here; the `stackbench`
+//! package at the repository root measures it.
 //!
 //! The workload is serial and starts from fresh caches, so every counter
-//! (machine steps, analyzer effort, qhl rule applications, cache
-//! hits/misses) and every span/histogram *count* is byte-deterministic;
-//! only wall-clock totals need tolerance, and those are snapshotted as
-//! generous ceilings.
+//! is byte-deterministic.
 //!
-//! Baseline lines are `kind name value rule`:
+//! Baseline lines are `counter name value rule`:
 //!
 //! ```text
 //! counter   machine/steps            1188090  exact
-//! spancount measure/fn/main          14       exact
-//! spanns    verify/measure           250000000 ceiling
-//! histcount machine/steps_per_sec    14       exact
 //! ```
 //!
 //! Rules: `exact`, `ceiling` (current <= value), `floor`
 //! (current >= value), or `<N>%` (relative tolerance) — edit the rule in
-//! place to relax a metric that is legitimately machine-dependent.
+//! place to relax a counter that is legitimately machine-dependent.
 //!
 //! After the serial gate, a second *parallel* pass (`--parallel-measure`
 //! semantics) exports a Chrome trace of the suite, re-validates it with
@@ -40,17 +35,12 @@
 //! cargo run -p bench --bin obs_regress -- --trace-chrome trace.json
 //! ```
 
-use stackbound::{asm, vcache};
+use stackbound::{asm, compiler, stacklint, vcache};
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 use std::sync::Arc;
 
 const DEFAULT_BASELINE: &str = "ci/obs_baselines/suite.txt";
-
-/// Wall-clock ceilings are snapshotted at `max(observed * 10, 250ms)` so
-/// a slow CI machine never trips them while a 10x stage regression does.
-const CEILING_MARGIN: u64 = 10;
-const CEILING_FLOOR_NS: u64 = 250_000_000;
 
 struct Options {
     baseline: String,
@@ -101,9 +91,9 @@ fn main() -> ExitCode {
         drop(session);
         report
     };
-    let current = extract_metrics(&report);
+    let current = report.counters;
     println!(
-        "obs_regress: serial corpus pass recorded {} metrics",
+        "obs_regress: serial corpus pass recorded {} counters",
         current.len()
     );
 
@@ -142,27 +132,27 @@ fn main() -> ExitCode {
         for f in &failures {
             eprintln!("obs_regress: FAILED: {f}");
         }
-        let fresh: Vec<&Metric> = current
+        let fresh: Vec<&String> = current
             .keys()
-            .filter(|m| !baseline.iter().any(|e| e.metric == **m))
+            .filter(|name| !baseline.iter().any(|e| e.name == **name))
             .collect();
         if !fresh.is_empty() {
             println!(
-                "obs_regress: note: {} metrics not in baseline (snapshot to adopt), e.g. {:?}",
+                "obs_regress: note: {} counters not in baseline (snapshot to adopt), e.g. {:?}",
                 fresh.len(),
                 fresh[0]
             );
         }
         if !failures.is_empty() {
             eprintln!(
-                "obs_regress: {} of {} baseline metrics failed",
+                "obs_regress: {} of {} baseline counters failed",
                 failures.len(),
                 baseline.len()
             );
             return ExitCode::FAILURE;
         }
         println!(
-            "obs_regress: all {} baseline metrics within tolerance",
+            "obs_regress: all {} baseline counters within tolerance",
             baseline.len()
         );
     }
@@ -182,66 +172,42 @@ fn main() -> ExitCode {
 
 /// The serial gate workload: the whole corpus through fresh shared
 /// caches, exactly once, on one thread of control, plus one binary-level
-/// stack-analysis pass (whose `stacklint/*` spans and counters are
-/// deterministic and baselined like everything else).
+/// stack-analysis pass (whose `stacklint/*` counters are deterministic
+/// and baselined like everything else).
 fn run_corpus() {
-    let benchmarks: Vec<_> = stackbound::benchsuite::table1_benchmarks()
+    let cache = Arc::new(vcache::VCache::new());
+    let verifier = stackbound::Verifier::new()
+        .fuel(bench::FUEL)
+        .vcache(cache.clone())
+        .measure_cache(Arc::new(asm::MeasureCache::new()));
+    for b in stackbound::benchsuite::table1_benchmarks()
         .into_iter()
         .chain(stackbound::benchsuite::extra_benchmarks())
-        .collect();
-    let recursive = stackbound::benchsuite::recursive_cases();
-    let cache = Arc::new(vcache::VCache::new());
-    let measure_cache = Arc::new(asm::MeasureCache::new());
-    bench::verify_suite_cached(&benchmarks, &cache, &measure_cache);
-    bench::verify_recursive_cached(&recursive, &cache);
-    bench::lint_suite_on(asm::Target::Sz32);
-}
-
-/// One gated metric: the kind discriminates how the value was reduced
-/// from the report.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-enum Metric {
-    /// A global counter's summed value.
-    Counter(String),
-    /// How many spans with this name were recorded.
-    SpanCount(String),
-    /// Total wall-clock over all spans with this name, nanoseconds.
-    SpanNs(String),
-    /// A histogram's sample count.
-    HistCount(String),
-}
-
-impl Metric {
-    fn kind(&self) -> &'static str {
-        match self {
-            Metric::Counter(_) => "counter",
-            Metric::SpanCount(_) => "spancount",
-            Metric::SpanNs(_) => "spanns",
-            Metric::HistCount(_) => "histcount",
-        }
+    {
+        verifier
+            .verify(b.source)
+            .unwrap_or_else(|e| panic!("{}: {e}", b.file));
     }
-
-    fn name(&self) -> &str {
-        match self {
-            Metric::Counter(n)
-            | Metric::SpanCount(n)
-            | Metric::SpanNs(n)
-            | Metric::HistCount(n) => n,
-        }
+    for case in stackbound::benchsuite::recursive_cases() {
+        stackbound::table2::verify_case_cached(&case, asm::Target::Sz32, &cache)
+            .unwrap_or_else(|e| panic!("{}: {e}", case.file));
     }
-
-    fn from_parts(kind: &str, name: &str) -> Option<Metric> {
-        match kind {
-            "counter" => Some(Metric::Counter(name.to_owned())),
-            "spancount" => Some(Metric::SpanCount(name.to_owned())),
-            "spanns" => Some(Metric::SpanNs(name.to_owned())),
-            "histcount" => Some(Metric::HistCount(name.to_owned())),
-            _ => None,
-        }
+    for case in bench::lint_corpus() {
+        let program = stackbound::clight::frontend(&case.source, &[])
+            .unwrap_or_else(|e| panic!("{}: front end: {e}", case.file));
+        let compiled =
+            compiler::compile(&program).unwrap_or_else(|e| panic!("{}: compiler: {e}", case.file));
+        let lint = stacklint::analyze(&compiled.asm);
+        assert!(
+            lint.is_clean(),
+            "{}: compiler-emitted code drew diagnostics: {:?}",
+            case.file,
+            lint.diagnostics
+        );
     }
 }
 
-/// Per-metric comparison rule.
+/// Per-counter comparison rule.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Rule {
     /// current == value
@@ -296,70 +262,22 @@ impl Rule {
 /// One baseline line.
 #[derive(Debug, Clone, PartialEq)]
 struct Entry {
-    metric: Metric,
+    name: String,
     value: u64,
     rule: Rule,
 }
 
-/// Reduces a recorded report to the flat, ordered metric list the
-/// baseline gates: global counters, per-name span counts and wall-clock
-/// totals, histogram sample counts.
-fn extract_metrics(report: &obs::Report) -> BTreeMap<Metric, u64> {
-    fn visit(agg: &mut BTreeMap<String, (u64, u64)>, node: &obs::SpanNode) {
-        let slot = agg.entry(node.name.clone()).or_insert((0, 0));
-        slot.0 += 1;
-        slot.1 += node.duration_ns;
-        for c in &node.children {
-            visit(agg, c);
-        }
-    }
-    let mut spans: BTreeMap<String, (u64, u64)> = BTreeMap::new();
-    for root in &report.roots {
-        visit(&mut spans, root);
-    }
-    let mut out = BTreeMap::new();
-    for (name, value) in &report.counters {
-        out.insert(Metric::Counter(name.clone()), *value);
-    }
-    for (name, (count, total_ns)) in spans {
-        out.insert(Metric::SpanCount(name.clone()), count);
-        out.insert(Metric::SpanNs(name), total_ns);
-    }
-    for (name, h) in &report.histograms {
-        out.insert(Metric::HistCount(name.clone()), h.count);
-    }
-    out
-}
-
-/// Renders the current metrics as a fresh baseline: deterministic
-/// quantities get `exact`, wall-clock totals get a generous `ceiling`.
-fn render_snapshot(current: &BTreeMap<Metric, u64>) -> String {
+/// Renders the current counters as a fresh baseline, every one `exact`.
+fn render_snapshot(current: &BTreeMap<String, u64>) -> String {
     let mut out = String::from(
-        "# obs_regress baseline: `kind name value rule` per line.\n\
+        "# obs_regress baseline: `counter name value rule` per line.\n\
          # Regenerate with `cargo run --release -p bench --bin obs_regress -- --snapshot`.\n\
          # Rules: exact | ceiling | floor | <pct>% — relax in place when a\n\
-         # metric is legitimately machine-dependent.\n",
+         # counter is legitimately machine-dependent.\n",
     );
-    let width = current
-        .keys()
-        .map(|m| m.name().len())
-        .max()
-        .unwrap_or(0)
-        .max(4);
-    for (metric, value) in current {
-        let (value, rule) = match metric {
-            Metric::SpanNs(_) => (
-                (value * CEILING_MARGIN).max(CEILING_FLOOR_NS),
-                Rule::Ceiling,
-            ),
-            _ => (*value, Rule::Exact),
-        };
-        out.push_str(&format!(
-            "{:<9} {:<width$} {value:>12} {}\n",
-            metric.kind(),
-            metric.name(),
-            rule.render(),
-        ));
+    let width = current.keys().map(String::len).max().unwrap_or(0).max(4);
+    for (name, value) in current {
+        out.push_str(&format!("counter   {name:<width$} {value:>12} exact\n"));
     }
     out
 }
@@ -374,43 +292,44 @@ fn parse_baseline(text: &str) -> Result<Vec<Entry>, String> {
         }
         let fields: Vec<&str> = line.split_whitespace().collect();
         let [kind, name, value, rule] = fields[..] else {
-            return Err(format!("line {}: expected `kind name value rule`", i + 1));
+            return Err(format!(
+                "line {}: expected `counter name value rule`",
+                i + 1
+            ));
         };
-        let metric = Metric::from_parts(kind, name)
-            .ok_or_else(|| format!("line {}: unknown kind `{kind}`", i + 1))?;
+        if kind != "counter" {
+            return Err(format!("line {}: unknown kind `{kind}`", i + 1));
+        }
         let value = value
             .parse::<u64>()
             .map_err(|e| format!("line {}: bad value: {e}", i + 1))?;
         let rule = Rule::parse(rule).map_err(|e| format!("line {}: {e}", i + 1))?;
         entries.push(Entry {
-            metric,
+            name: name.to_owned(),
             value,
             rule,
         });
     }
     if entries.is_empty() {
-        return Err("baseline declares no metrics".to_owned());
+        return Err("baseline declares no counters".to_owned());
     }
     Ok(entries)
 }
 
-/// Checks every baseline entry against the current metrics, returning one
-/// message per violation (a metric missing from the current run is a
+/// Checks every baseline entry against the current counters, returning
+/// one message per violation (a counter missing from the current run is a
 /// violation — the instrumentation that produced it is gone).
-fn compare(baseline: &[Entry], current: &BTreeMap<Metric, u64>) -> Vec<String> {
+fn compare(baseline: &[Entry], current: &BTreeMap<String, u64>) -> Vec<String> {
     let mut failures = Vec::new();
     for e in baseline {
-        match current.get(&e.metric) {
+        match current.get(&e.name) {
             None => failures.push(format!(
-                "{} {} missing from current run (baseline {})",
-                e.metric.kind(),
-                e.metric.name(),
-                e.value
+                "counter {} missing from current run (baseline {})",
+                e.name, e.value
             )),
             Some(&got) if !e.rule.admits(e.value, got) => failures.push(format!(
-                "{} {}: {got} violates {} {}",
-                e.metric.kind(),
-                e.metric.name(),
+                "counter {}: {got} violates {} {}",
+                e.name,
                 e.rule.render(),
                 e.value
             )),
@@ -500,27 +419,19 @@ mod tests {
     #[test]
     fn baseline_round_trips_through_snapshot() {
         let mut current = BTreeMap::new();
-        current.insert(Metric::Counter("machine/steps".into()), 123);
-        current.insert(Metric::SpanCount("measure/fn/main".into()), 4);
-        current.insert(Metric::SpanNs("measure/fn/main".into()), 1_000);
-        current.insert(Metric::HistCount("machine/steps_per_sec".into()), 4);
+        current.insert("machine/steps".to_owned(), 123);
+        current.insert("vcache/check_miss".to_owned(), 4);
         let entries = parse_baseline(&render_snapshot(&current)).unwrap();
-        assert_eq!(entries.len(), 4);
         assert_eq!(
             entries[0],
             Entry {
-                metric: Metric::Counter("machine/steps".into()),
+                name: "machine/steps".into(),
                 value: 123,
                 rule: Rule::Exact,
             }
         );
-        // Wall-clock totals snapshot as generous ceilings, never exact.
-        let ns = entries
-            .iter()
-            .find(|e| matches!(e.metric, Metric::SpanNs(_)))
-            .unwrap();
-        assert_eq!(ns.rule, Rule::Ceiling);
-        assert_eq!(ns.value, CEILING_FLOOR_NS);
+        assert_eq!(entries.len(), 2);
+        assert!(entries.iter().all(|e| e.rule == Rule::Exact));
         // An identical re-run passes its own snapshot.
         assert!(compare(&entries, &current).is_empty());
     }
@@ -529,18 +440,18 @@ mod tests {
     fn compare_flags_drift_and_missing_metrics() {
         let baseline = vec![
             Entry {
-                metric: Metric::Counter("steps".into()),
+                name: "steps".into(),
                 value: 100,
                 rule: Rule::Exact,
             },
             Entry {
-                metric: Metric::SpanCount("gone".into()),
+                name: "gone".into(),
                 value: 1,
                 rule: Rule::Exact,
             },
         ];
         let mut current = BTreeMap::new();
-        current.insert(Metric::Counter("steps".into()), 101);
+        current.insert("steps".to_owned(), 101);
         let failures = compare(&baseline, &current);
         assert_eq!(failures.len(), 2);
         assert!(
@@ -556,9 +467,11 @@ mod tests {
         assert!(parse_baseline("# only comments\n").is_err());
         assert!(parse_baseline("counter a 1\n").is_err());
         assert!(parse_baseline("widget a 1 exact\n").is_err());
+        // Timing is stackbench's business: span kinds are gone.
+        assert!(parse_baseline("spanns b 2 ceiling\n").is_err());
         assert!(parse_baseline("counter a one exact\n").is_err());
         assert!(parse_baseline("counter a 1 sometimes\n").is_err());
-        let ok = parse_baseline("# c\n\ncounter a 1 exact\nspanns b 2 ceiling\n").unwrap();
+        let ok = parse_baseline("# c\n\ncounter a 1 exact\ncounter b 2 ceiling\n").unwrap();
         assert_eq!(ok.len(), 2);
     }
 }

@@ -1,6 +1,7 @@
 //! Shared helpers for the paper-reproduction harness binaries.
 //!
-//! Each binary regenerates one artifact of the paper's evaluation (§6):
+//! Each binary regenerates one artifact of the paper's evaluation (§6)
+//! or gates one property of the corpus:
 //!
 //! | binary | artifact |
 //! |---|---|
@@ -12,20 +13,20 @@
 //! | `ablation_merge` | stack merging on/off |
 //! | `ablation_opt` | optimizations on/off |
 //! | `ablation_metric` | `M = SF + 4` vs. the naive `M = SF` |
-//! | `interp_bench` | decoded vs. reference interpreter throughput |
-//! | `serve_bench` | `sbound serve` daemon load test ([`serveload`]) |
+//! | `ablation_inline` | leaf inlining on/off |
+//! | `stacklint` | binary-level `measured <= binary <= certified` gate |
+//! | `obs_regress` | exact-count observability baseline gate |
+//! | `obs-diff` | diff of two `--metrics-json` reports |
 //!
 //! Run them with `cargo run -p bench --bin <name>`. The suite-level
 //! binaries accept `--parallel-measure` to fan preparation and machine
-//! executions across threads with byte-identical output.
+//! executions across threads with byte-identical output. Timing is not
+//! these binaries' job: the `stackbench` package at the repository root
+//! is the one benchmark, and its README lists every metric it reports.
 
 #![warn(missing_docs)]
 
-pub mod serveload;
-
-use stackbound::{analyzer, asm, clight, compiler, stacklint, vcache};
-use std::sync::Arc;
-use std::time::Instant;
+use stackbound::{analyzer, asm, clight, compiler};
 
 /// Fuel for all harness executions.
 pub const FUEL: u64 = 400_000_000;
@@ -71,17 +72,15 @@ pub fn suite_options_from_args() -> SuiteOptions {
 /// pipeline configuration, panicking with a clear message on any failure
 /// (the test suite guards these paths; the harness just reports).
 pub fn prepare_table1() -> Vec<Prepared> {
-    prepare_table1_with(&compiler::PipelineConfig::default())
+    prepare_table1_with_opts(
+        &compiler::PipelineConfig::default(),
+        &SuiteOptions::default(),
+    )
 }
 
 /// [`prepare_table1`] through an explicit [`compiler::PipelineConfig`]
-/// (parallel backend, refinement checkpoints, per-pass budgets, …).
-pub fn prepare_table1_with(config: &compiler::PipelineConfig) -> Vec<Prepared> {
-    prepare_table1_with_opts(config, &SuiteOptions::default())
-}
-
-/// [`prepare_table1_with`], optionally fanning the per-benchmark
-/// front-end + analysis + compilation across threads
+/// (parallel backend, refinement checkpoints, …), optionally fanning the
+/// per-benchmark front-end + analysis + compilation across threads
 /// ([`SuiteOptions::parallel_measure`]). The returned vector is identical
 /// either way — [`stackbound::par_map`] preserves benchmark order.
 pub fn prepare_table1_with_opts(
@@ -169,84 +168,6 @@ pub fn pipeline_config_from_args() -> compiler::PipelineConfig {
     config
 }
 
-/// Runs the full end-to-end [`stackbound::Verifier`] (analysis,
-/// derivation re-check, compilation, bounds, measurement) over every
-/// benchmark, routing all stages through the shared content-addressed
-/// caches. Returns the rendered per-program reports in suite order plus
-/// the elapsed wall-clock seconds.
-///
-/// Calling this twice with the same caches gives a cold and a warm pass;
-/// the rendered reports must be byte-identical (`suite_bench` and the
-/// `vcache` budget-gate floor both assert this).
-pub fn verify_suite_cached(
-    benchmarks: &[stackbound::benchsuite::Benchmark],
-    cache: &Arc<vcache::VCache>,
-    measure_cache: &Arc<asm::MeasureCache>,
-) -> (Vec<String>, f64) {
-    verify_suite_cached_on(asm::Target::Sz32, benchmarks, cache, measure_cache)
-}
-
-/// [`verify_suite_cached`] against an explicit backend [`asm::Target`].
-/// The cache keys cover the target, so sz32 and rv passes through the
-/// same cache never reuse each other's artifacts.
-pub fn verify_suite_cached_on(
-    target: asm::Target,
-    benchmarks: &[stackbound::benchsuite::Benchmark],
-    cache: &Arc<vcache::VCache>,
-    measure_cache: &Arc<asm::MeasureCache>,
-) -> (Vec<String>, f64) {
-    let verifier = stackbound::Verifier::new()
-        .fuel(FUEL)
-        .target(target)
-        .vcache(cache.clone())
-        .measure_cache(measure_cache.clone());
-    let started = Instant::now();
-    let reports = benchmarks
-        .iter()
-        .map(|b| {
-            let report = verifier
-                .verify(b.source)
-                .unwrap_or_else(|e| panic!("{}: {e}", b.file));
-            format!("{}\n{report}", b.file)
-        })
-        .collect();
-    (reports, started.elapsed().as_secs_f64())
-}
-
-/// Verifies the Table 2 recursive cases through the cache. The automatic
-/// analyzer rejects recursion, so each case runs its hand-written
-/// derivations through `qhl::Checker` — by far the most expensive step of
-/// the corpus — with the verdict memoized under a key that covers both
-/// the program content and the proof text, and the compile stage routed
-/// through [`vcache::compile`]. Returns the rendered per-case report
-/// lines in suite order plus the elapsed wall-clock seconds.
-pub fn verify_recursive_cached(
-    cases: &[stackbound::benchsuite::RecursiveCase],
-    cache: &Arc<vcache::VCache>,
-) -> (Vec<String>, f64) {
-    verify_recursive_cached_on(asm::Target::Sz32, cases, cache)
-}
-
-/// [`verify_recursive_cached`] against an explicit backend
-/// [`asm::Target`]. The proof *check* is metric-parametric (so its
-/// verdict key already distinguishes targets through the content keys),
-/// while the reported `M(f)` comes from the target's compiled metric.
-pub fn verify_recursive_cached_on(
-    target: asm::Target,
-    cases: &[stackbound::benchsuite::RecursiveCase],
-    cache: &Arc<vcache::VCache>,
-) -> (Vec<String>, f64) {
-    let started = Instant::now();
-    let reports = cases
-        .iter()
-        .map(|case| {
-            stackbound::table2::verify_case_cached(case, target, cache)
-                .unwrap_or_else(|e| panic!("{}: {e}", case.file))
-        })
-        .collect();
-    (reports, started.elapsed().as_secs_f64())
-}
-
 /// One corpus program for the binary-level differential gate: a named C
 /// source plus, for the Table 2 cases, the headline recursive function
 /// the binary analyzer must report a call-graph cycle through.
@@ -302,34 +223,6 @@ pub fn lint_corpus() -> Vec<LintCase> {
             }),
     );
     out
-}
-
-/// Compiles every [`lint_corpus`] program for `target` and runs the
-/// binary-level [`stacklint`] analyzer over each, panicking on any
-/// stack-discipline diagnostic (compiler-emitted code must be clean).
-/// Returns the per-program lint reports in suite order plus the seconds
-/// spent inside the analyzer alone — compilation is excluded, so the
-/// `stacklint` budget ceiling gates the analyzer, not the compiler.
-pub fn lint_suite_on(target: asm::Target) -> (Vec<(&'static str, stacklint::LintReport)>, f64) {
-    let mut reports = Vec::new();
-    let mut secs = 0.0;
-    for case in lint_corpus() {
-        let program = clight::frontend(&case.source, &[])
-            .unwrap_or_else(|e| panic!("{}: front end: {e}", case.file));
-        let compiled = compiler::compile_with(&program, compiler::Options::for_target(target))
-            .unwrap_or_else(|e| panic!("{}: compiler: {e}", case.file));
-        let started = Instant::now();
-        let lint = stacklint::analyze(&compiled.asm);
-        secs += started.elapsed().as_secs_f64();
-        assert!(
-            lint.is_clean(),
-            "{} [{target}]: compiler-emitted code drew diagnostics: {:?}",
-            case.file,
-            lint.diagnostics
-        );
-        reports.push((case.file, lint));
-    }
-    (reports, secs)
 }
 
 /// Measures the peak stack usage of `main` with a generous stack.

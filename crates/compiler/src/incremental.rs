@@ -22,9 +22,9 @@
 //! incremental-equivalence test suite pins this on the whole benchmark
 //! corpus.
 //!
-//! Budgets and refinement checkpoints are whole-program, per-pass
-//! concepts and are not supported here; callers that need them use the
-//! [`crate::Pipeline`] driver.
+//! Refinement checkpoints are a whole-program, per-pass concept and are
+//! not supported here; callers that need them use the [`crate::Pipeline`]
+//! driver.
 
 use crate::pipeline::par_map;
 use crate::{asmgen, cminor, cminorgen, inline, mach, machgen, opt, rtl, rtlgen};

@@ -57,7 +57,7 @@ mod rtlgen;
 mod asmgen;
 
 pub use incremental::{compile_incremental, FnArtifacts};
-pub use pipeline::{Budgets, Pipeline, PipelineConfig, PipelineError};
+pub use pipeline::{Pipeline, PipelineConfig, PipelineError};
 
 use std::fmt;
 
@@ -177,8 +177,8 @@ pub fn compile(program: &clight::Program) -> Result<Compiled, CompileError> {
 /// Compiles with explicit [`Options`].
 ///
 /// This is a thin wrapper over the [`pipeline`] pass manager with the
-/// default [`PipelineConfig`] (serial, no budgets, no refinement
-/// checkpoints); build a [`Pipeline`] directly for those features.
+/// default [`PipelineConfig`] (serial, no refinement checkpoints); build
+/// a [`Pipeline`] directly for those features.
 ///
 /// # Errors
 ///
@@ -188,8 +188,8 @@ pub fn compile_with(program: &clight::Program, options: Options) -> Result<Compi
         .run(program)
         .map_err(|e| match e {
             PipelineError::Compile(e) => e,
-            // Unreachable with the default config: budgets and refinement
-            // checkpoints are off.
+            // Unreachable with the default config: refinement checkpoints
+            // are off.
             other => CompileError::Internal(other.to_string()),
         })
 }

@@ -6,11 +6,11 @@
 //! Coq). This module reifies that structure: every pass is a value
 //! implementing [`Pass`], and the [`Pipeline`] driver owns the pass list
 //! and the cross-cutting machinery that used to be hand-rolled inline —
-//! observability spans and size counters, optional per-pass wall-clock
-//! [`Budgets`], and an optional per-pass *refinement checkpoint*
-//! ([`Pass::check`]) that executes the source and target IR of the pass
-//! and asserts [`trace::refinement`] on the concrete run, the testable
-//! counterpart of the paper's per-pass theorems.
+//! observability spans and size counters, and an optional per-pass
+//! *refinement checkpoint* ([`Pass::check`]) that executes the source
+//! and target IR of the pass and asserts [`trace::refinement`] on the
+//! concrete run, the testable counterpart of the paper's per-pass
+//! theorems.
 //!
 //! The per-function passes (`rtlgen` and the RTL optimizations through
 //! `asmgen`) additionally support a parallel mode
@@ -40,9 +40,7 @@
 
 use crate::{asmgen, cminor, cminorgen, inline, mach, machgen, opt, rtl, rtlgen};
 use crate::{CompileError, Compiled, Options};
-use std::collections::BTreeMap;
 use std::fmt;
-use std::time::{Duration, Instant};
 use trace::refinement::{self, RefinementError};
 use trace::Behavior;
 
@@ -139,7 +137,7 @@ pub struct PassContext {
 /// [`PipelineConfig::check_refinement`] is set.
 pub trait Pass: Send + Sync {
     /// Short pass name, e.g. `machgen`. The driver opens an obs span
-    /// `compiler/<name>` around the pass and keys [`Budgets`] by this name.
+    /// `compiler/<name>` around the pass.
     fn name(&self) -> &'static str;
 
     /// Transforms the input IR into the output IR.
@@ -478,88 +476,6 @@ impl Pass for AsmGen {
     }
 }
 
-/// Per-pass wall-clock budgets, keyed by [`Pass::name`].
-///
-/// An empty set of budgets (the default) never fails. The text format
-/// accepted by [`Budgets::parse`] is one `<pass-name> <ms>` pair per
-/// line, with `#` comments — the format of the checked-in CI budget file.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Budgets {
-    limits: BTreeMap<String, Duration>,
-}
-
-impl Budgets {
-    /// No budgets: every pass may take arbitrarily long.
-    pub fn none() -> Budgets {
-        Budgets::default()
-    }
-
-    /// Sets the budget for one pass, returning `self` for chaining.
-    #[must_use]
-    pub fn with(mut self, pass: &str, limit: Duration) -> Budgets {
-        self.set(pass, limit);
-        self
-    }
-
-    /// Sets the budget for one pass.
-    pub fn set(&mut self, pass: &str, limit: Duration) {
-        self.limits.insert(pass.to_owned(), limit);
-    }
-
-    /// The budget for a pass, if one is set.
-    pub fn get(&self, pass: &str) -> Option<Duration> {
-        self.limits.get(pass).copied()
-    }
-
-    /// True when no pass has a budget.
-    pub fn is_empty(&self) -> bool {
-        self.limits.is_empty()
-    }
-
-    /// All `(pass, budget)` pairs in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, Duration)> {
-        self.limits.iter().map(|(k, v)| (k.as_str(), *v))
-    }
-
-    /// Parses the budget-file format: one `<pass-name> <milliseconds>`
-    /// pair per non-empty line; `#` starts a comment.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the first malformed line.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// let budgets = compiler::pipeline::Budgets::parse("
-    ///     machgen 250  # Table 1 suite, generous thresholds.
-    ///     asmgen 100
-    /// ").unwrap();
-    /// assert_eq!(budgets.get("machgen"), Some(std::time::Duration::from_millis(250)));
-    /// ```
-    pub fn parse(text: &str) -> Result<Budgets, String> {
-        let mut budgets = Budgets::default();
-        for (lineno, raw) in text.lines().enumerate() {
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            let mut parts = line.split_whitespace();
-            let (Some(pass), Some(ms), None) = (parts.next(), parts.next(), parts.next()) else {
-                return Err(format!(
-                    "line {}: expected `<pass-name> <milliseconds>`, got `{raw}`",
-                    lineno + 1
-                ));
-            };
-            let ms: u64 = ms
-                .parse()
-                .map_err(|e| format!("line {}: bad milliseconds `{ms}`: {e}", lineno + 1))?;
-            budgets.set(pass, Duration::from_millis(ms));
-        }
-        Ok(budgets)
-    }
-}
-
 /// Configuration for a [`Pipeline`] run.
 #[derive(Debug, Clone)]
 pub struct PipelineConfig {
@@ -572,9 +488,6 @@ pub struct PipelineConfig {
     pub check_refinement: bool,
     /// Interpreter fuel for refinement checkpoints.
     pub check_fuel: u64,
-    /// Per-pass wall-clock budgets; a pass that exceeds its budget fails
-    /// the run with [`PipelineError::BudgetExceeded`].
-    pub budgets: Budgets,
     /// Fan per-function passes out across worker threads. Output is
     /// byte-identical to serial mode.
     pub parallel: bool,
@@ -589,7 +502,6 @@ impl Default for PipelineConfig {
             options: Options::default(),
             check_refinement: false,
             check_fuel: 20_000_000,
-            budgets: Budgets::none(),
             parallel: false,
             workers: 0,
         }
@@ -617,21 +529,12 @@ impl PipelineConfig {
     }
 }
 
-/// A [`Pipeline`] failure: the compilation itself failed, a pass ran past
-/// its budget, or a refinement checkpoint found a discrepancy.
+/// A [`Pipeline`] failure: the compilation itself failed, or a refinement
+/// checkpoint found a discrepancy.
 #[derive(Debug, Clone)]
 pub enum PipelineError {
     /// A pass failed to compile the program.
     Compile(CompileError),
-    /// A pass exceeded its wall-clock budget.
-    BudgetExceeded {
-        /// The pass that ran too long.
-        pass: String,
-        /// Its measured wall-clock time.
-        elapsed: Duration,
-        /// Its configured budget.
-        budget: Duration,
-    },
     /// A refinement checkpoint failed — the pass changed observable
     /// behavior or increased a stack weight (always a compiler bug).
     RefinementFailed {
@@ -646,16 +549,6 @@ impl fmt::Display for PipelineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             PipelineError::Compile(e) => write!(f, "{e}"),
-            PipelineError::BudgetExceeded {
-                pass,
-                elapsed,
-                budget,
-            } => write!(
-                f,
-                "pass `{pass}` exceeded its budget: {:.3} ms > {:.3} ms",
-                elapsed.as_secs_f64() * 1e3,
-                budget.as_secs_f64() * 1e3
-            ),
             PipelineError::RefinementFailed { pass, error } => {
                 write!(f, "pass `{pass}` failed its refinement checkpoint: {error}")
             }
@@ -715,8 +608,8 @@ impl Snapshots {
 }
 
 /// The pass-list driver: owns the passes selected by a [`PipelineConfig`]
-/// and runs them in order, emitting per-pass obs spans and size counters,
-/// enforcing budgets, and (optionally) running refinement checkpoints.
+/// and runs them in order, emitting per-pass obs spans and size counters
+/// and (optionally) running refinement checkpoints.
 pub struct Pipeline {
     config: PipelineConfig,
     passes: Vec<Box<dyn Pass>>,
@@ -787,20 +680,9 @@ impl Pipeline {
                     obs::counter("instrs_in", n);
                 }
             }
-            let started = Instant::now();
             let output = pass.run(&current, &ctx)?;
-            let elapsed = started.elapsed();
             if let Some(n) = pass.size(&output) {
                 obs::counter("instrs_out", n);
-            }
-            if let Some(budget) = self.config.budgets.get(pass.name()) {
-                if elapsed > budget {
-                    return Err(PipelineError::BudgetExceeded {
-                        pass: pass.name().to_owned(),
-                        elapsed,
-                        budget,
-                    });
-                }
             }
             if self.config.check_refinement {
                 pass.check(&current, &output, self.config.check_fuel)

@@ -94,7 +94,8 @@ fn write_span(out: &mut String, node: &SpanNode, parent: Option<usize>, next_id:
     }
 }
 
-pub(crate) fn escape(s: &str) -> String {
+/// JSON-escapes a string (quotes included).
+pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

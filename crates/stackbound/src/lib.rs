@@ -201,9 +201,10 @@ pub enum Error {
     Derivation(qhl::QhlError),
     /// Compilation failed.
     Compiler(compiler::CompileError),
-    /// The compiler pipeline rejected the run: a pass exceeded its
-    /// wall-clock budget or failed its refinement checkpoint (only
-    /// possible with a custom [`Verifier::pipeline`] configuration).
+    /// The compiler pipeline rejected the run: a pass failed its
+    /// refinement checkpoint (only possible with
+    /// [`Verifier::check_refinement`] or a custom [`Verifier::pipeline`]
+    /// configuration).
     Pipeline(compiler::PipelineError),
     /// The machine run failed (overflow would mean an unsound bound).
     Machine(String),
@@ -401,8 +402,8 @@ impl Verifier {
         self
     }
 
-    /// Replaces the whole compiler pipeline configuration (budgets,
-    /// parallelism, optimization selection, …).
+    /// Replaces the whole compiler pipeline configuration (refinement
+    /// checkpoints, parallelism, optimization selection, …).
     #[must_use]
     pub fn pipeline(mut self, config: compiler::PipelineConfig) -> Verifier {
         self.pipeline = config;
@@ -450,10 +451,9 @@ impl Verifier {
     /// byte-identical to an uncached run.
     ///
     /// The cached compile driver does not support per-pass refinement
-    /// checkpoints or wall-clock budgets (both whole-program concepts);
-    /// when either is configured on [`Verifier::pipeline`], the compile
-    /// stage transparently falls back to the regular pass manager while
-    /// the other stages keep caching.
+    /// checkpoints (a whole-program concept); when they are configured,
+    /// the compile stage transparently falls back to the regular pass
+    /// manager while the other stages keep caching.
     #[must_use]
     pub fn vcache(mut self, cache: std::sync::Arc<vcache::VCache>) -> Verifier {
         self.vcache = Some(cache);
@@ -519,11 +519,10 @@ impl Verifier {
                 }
                 Stage::Compile => {
                     let program = program.as_ref().expect("frontend is mandatory");
-                    // Refinement checkpoints and budgets are per-pass,
-                    // whole-program features of the pass manager; the
-                    // incremental driver has no equivalent, so fall back.
-                    let incremental =
-                        !self.pipeline.check_refinement && self.pipeline.budgets.is_empty();
+                    // Refinement checkpoints are a per-pass, whole-program
+                    // feature of the pass manager; the incremental driver
+                    // has no equivalent, so fall back.
+                    let incremental = !self.pipeline.check_refinement;
                     compiled = Some(match (&self.vcache, &keys) {
                         (Some(cache), Some(keys)) if incremental => {
                             vcache::compile(cache, program, &self.pipeline, keys)

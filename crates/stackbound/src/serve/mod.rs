@@ -606,7 +606,8 @@ impl ServerHandle {
 }
 
 /// Binds an ephemeral loopback port and runs `server` on a background
-/// thread — the harness used by the serve tests and `serve_bench`.
+/// thread — the harness used by the serve tests and the `serve_edit`
+/// workload of the `stackbench` benchmark.
 ///
 /// # Errors
 ///

@@ -55,6 +55,9 @@ use crate::Report;
 use obs::json::Value;
 use std::fmt::Write as _;
 
+/// JSON-escapes a string (quotes included); shared with the obs exporters.
+pub use obs::json::escape;
+
 /// A fully parsed `verify` request.
 #[derive(Debug, Clone)]
 pub struct VerifyRequest {
@@ -222,27 +225,6 @@ fn timeout_field(v: &Value, id: u64, op: &str) -> Result<Option<u64>, (u64, Stri
             )
         }),
     }
-}
-
-/// JSON-escapes a string (quotes included).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// The uniform failure response (`ok: false`).

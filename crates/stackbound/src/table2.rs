@@ -10,8 +10,8 @@
 //! either the program or any proof invalidates the verdict while
 //! everything else stays warm.
 //!
-//! Both the one-shot bench harness (`bench::verify_recursive_cached`)
-//! and the `sbound serve` daemon's `table2` verb call
+//! The one-shot harnesses (`obs_regress`, the `table2_cold` benchmark
+//! workload) and the `sbound serve` daemon's `table2` verb all call
 //! [`verify_case_cached`], so a served rendering is byte-identical to a
 //! one-shot run by construction.
 

@@ -26,12 +26,14 @@
 //! key and its cached artifacts stay valid — the property the incremental
 //! drivers and the invalidation property tests rely on.
 
+use asm::Fnv64;
 use clight::{Expr, Function, Program, Stmt, Ty};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::hash::Hasher;
 use std::str::FromStr;
 
-/// A 128-bit content key: two independent 64-bit FNV-1a streams over the
+/// A 128-bit content key: the two [`asm::Fnv64::pair`] streams over the
 /// same canonical byte encoding (the same construction as
 /// `asm::MeasureCache`). A collision requires both 64-bit hashes to
 /// collide simultaneously.
@@ -57,21 +59,6 @@ impl FromStr for Key {
     }
 }
 
-/// One FNV-1a-64 stream.
-#[derive(Clone, Copy)]
-struct Fnv64(u64);
-
-impl Fnv64 {
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(Self::PRIME);
-        }
-    }
-}
-
 /// Dual-stream canonical encoder. Every `u32`/`u64` is little-endian
 /// fixed-width; every string and list is length-framed, so distinct
 /// structures cannot produce the same byte stream.
@@ -85,10 +72,8 @@ impl Enc {
     /// different kinds (function AST, SCC closure, environment, final
     /// key) never collide structurally.
     fn new(domain: &str) -> Enc {
-        let mut e = Enc {
-            a: Fnv64(0xcbf2_9ce4_8422_2325),
-            b: Fnv64(0x6c62_272e_07bb_0142),
-        };
+        let [a, b] = Fnv64::pair();
+        let mut e = Enc { a, b };
         e.str(domain);
         e
     }
@@ -129,7 +114,7 @@ impl Enc {
     }
 
     fn finish(self) -> Key {
-        Key(self.a.0, self.b.0)
+        Key(self.a.finish(), self.b.finish())
     }
 }
 
@@ -522,6 +507,29 @@ mod tests {
         let b = keys(&p, &compiler::Options::default());
         assert_eq!(a, b);
         assert_eq!(a.len(), 3);
+    }
+
+    /// Keys name the `--cache-dir` files and CI's `sbound cache-key`
+    /// cache scope, so the hashing must not drift: a change here silently
+    /// orphans every persisted cache.
+    #[test]
+    fn digests_match_their_golden_values() {
+        assert_eq!(
+            config_digest(&compiler::Options::default()).to_string(),
+            "a936bdb0b321835cf61e5d4d579737b3"
+        );
+        let rendered: Vec<String> = keys(&program(THREE_LEVEL), &compiler::Options::default())
+            .iter()
+            .map(|(name, key)| format!("{name} {key}"))
+            .collect();
+        assert_eq!(
+            rendered,
+            [
+                "leaf 2f111af220cd199b3e3914a437c98e26",
+                "main 45ae5269186837c155fefb0153cbd520",
+                "mid 8f6023344bbe687533cb6e86aabdb760",
+            ]
+        );
     }
 
     #[test]

@@ -593,9 +593,9 @@ pub fn check_cached(
 /// [`compiler::compile_incremental`], storing the freshly compiled
 /// verticals back under their keys.
 ///
-/// Budgets and refinement checkpoints are whole-program, per-pass
-/// concepts; callers wanting those must use the [`compiler::Pipeline`]
-/// driver instead (the `stackbound::Verifier` falls back automatically).
+/// Refinement checkpoints are a whole-program, per-pass concept; callers
+/// wanting them must use the [`compiler::Pipeline`] driver instead (the
+/// `stackbound::Verifier` falls back automatically).
 ///
 /// # Errors
 ///

@@ -1,13 +1,12 @@
 //! Pass-manager integration tests: the parallel per-function backend is
 //! byte-identical to the serial one on the whole benchmark suite, the
 //! per-pass refinement checkpoints hold on Table 1 and on randomized
-//! programs, budgets trip deterministically, and the stage-based
-//! [`Verifier`] skips exactly what it is told to.
+//! programs, and the stage-based [`Verifier`] skips exactly what it is
+//! told to.
 
-use compiler::{Budgets, Options, Pipeline, PipelineConfig, PipelineError};
+use compiler::{Options, Pipeline, PipelineConfig};
 use proptest::prelude::*;
 use stackbound::{Stage, Verifier};
-use std::time::Duration;
 
 /// Every program the repository ships: Table 1 plus the extras.
 fn all_benchmarks() -> Vec<benchsuite::Benchmark> {
@@ -77,73 +76,6 @@ fn refinement_checkpoints_hold_on_table1() {
         pipeline
             .run(&program)
             .unwrap_or_else(|e| panic!("{}: {e}", b.file));
-    }
-}
-
-#[test]
-fn zero_budget_trips_with_the_offending_pass_name() {
-    let program = clight::frontend("int main() { return 0; }", &[]).unwrap();
-    let pipeline = Pipeline::new(PipelineConfig {
-        budgets: Budgets::none().with("machgen", Duration::ZERO),
-        ..PipelineConfig::default()
-    });
-    match pipeline.run(&program) {
-        Err(PipelineError::BudgetExceeded { pass, budget, .. }) => {
-            assert_eq!(pass, "machgen");
-            assert_eq!(budget, Duration::ZERO);
-        }
-        other => panic!("expected BudgetExceeded, got {other:?}"),
-    }
-}
-
-#[test]
-fn generous_budgets_do_not_trip() {
-    let program = clight::frontend("int main() { return 0; }", &[]).unwrap();
-    let mut budgets = Budgets::none();
-    for pass in Pipeline::new(PipelineConfig::default()).pass_names() {
-        budgets.set(pass, Duration::from_secs(60));
-    }
-    let pipeline = Pipeline::new(PipelineConfig {
-        budgets,
-        ..PipelineConfig::default()
-    });
-    pipeline.run(&program).unwrap();
-}
-
-#[test]
-fn budget_file_round_trips() {
-    let budgets = Budgets::parse(
-        "# comment-only line\n\
-         \n\
-         machgen 250\n\
-         asmgen 125  # trailing comment\n",
-    )
-    .unwrap();
-    assert_eq!(budgets.get("machgen"), Some(Duration::from_millis(250)));
-    assert_eq!(budgets.get("asmgen"), Some(Duration::from_millis(125)));
-    assert_eq!(budgets.get("rtlgen"), None);
-    assert_eq!(budgets.iter().count(), 2);
-
-    assert!(Budgets::parse("machgen fast").is_err());
-    assert!(Budgets::parse("machgen 250 extra").is_err());
-    assert!(Budgets::parse("machgen").is_err());
-}
-
-#[test]
-fn checked_in_budget_file_parses_and_covers_the_pipeline() {
-    let text = std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../ci/pass_budgets.txt"
-    ))
-    .unwrap();
-    let budgets = Budgets::parse(&text).unwrap();
-    // Every default pass is covered except `inline`, which is off by
-    // default (§3.3) and absent from the default pipeline.
-    for pass in Pipeline::new(PipelineConfig::default()).pass_names() {
-        assert!(
-            budgets.get(pass).is_some(),
-            "ci/pass_budgets.txt misses pass `{pass}`"
-        );
     }
 }
 

@@ -7,6 +7,7 @@
 //! else), on randomized programs.
 
 use proptest::prelude::*;
+use stackbound::asm::Target;
 use stackbound::{benchsuite, clight, compiler, vcache, Verifier};
 use std::sync::Arc;
 
@@ -20,32 +21,73 @@ fn table_benchmarks() -> Vec<benchsuite::Benchmark> {
         .collect()
 }
 
-/// The acceptance property of the whole PR: verifying through a shared
-/// cache — cold (all misses) and warm (all hits) — renders exactly the
-/// report the uncached [`Verifier`] renders, for every program of the
-/// suite.
+/// Verifying through a shared cache — cold (all misses) and warm (all
+/// hits) — renders exactly the report the uncached [`Verifier`] renders,
+/// for every program of the suite on both targets. A warm pass over the
+/// whole corpus, the Table 2 proof checks included, must not add a
+/// single miss to any [`vcache::CacheStage`] or to the
+/// [`stackbound::asm::MeasureCache`]: unchanged inputs always hit.
 #[test]
 fn cached_verifier_reports_match_uncached_byte_for_byte() {
-    let plain = Verifier::new().fuel(FUEL);
+    // The Table 2 proof checks dominate, and the targets share no cache,
+    // so the two run side by side.
+    std::thread::scope(|scope| {
+        for target in [Target::Sz32, Target::Rv] {
+            scope.spawn(move || cached_corpus_matches_uncached(target));
+        }
+    });
+}
+
+fn cached_corpus_matches_uncached(target: Target) {
+    let cache = Arc::new(vcache::VCache::new());
+    let measure_cache = Arc::new(stackbound::asm::MeasureCache::new());
     let cached = Verifier::new()
         .fuel(FUEL)
-        .vcache(Arc::new(vcache::VCache::new()))
-        .measure_cache(Arc::new(stackbound::asm::MeasureCache::new()));
-    for b in table_benchmarks() {
+        .target(target)
+        .vcache(cache.clone())
+        .measure_cache(measure_cache.clone());
+    let corpus = || -> Vec<String> {
+        let programs = table_benchmarks().into_iter().map(|b| {
+            cached
+                .verify(b.source)
+                .unwrap_or_else(|e| panic!("{} [{target}]: {e}", b.file))
+                .to_string()
+        });
+        let proofs = benchsuite::recursive_cases().into_iter().map(|case| {
+            stackbound::table2::verify_case_cached(&case, target, &cache)
+                .unwrap_or_else(|e| panic!("{} [{target}]: {e}", case.file))
+        });
+        programs.chain(proofs).collect()
+    };
+    let misses = || {
+        let mut by_stage: Vec<(&str, u64)> = vcache::CacheStage::ALL
+            .iter()
+            .map(|&s| (s.name(), cache.stats(s).1))
+            .collect();
+        by_stage.push(("measure", measure_cache.stats().1));
+        by_stage
+    };
+
+    let cold = corpus();
+    let cold_misses = misses();
+    let warm = corpus();
+    assert_eq!(cold, warm, "[{target}]: warm reports diverged from cold");
+    assert_eq!(
+        misses(),
+        cold_misses,
+        "[{target}]: the warm pass missed the cache on unchanged inputs"
+    );
+    let plain = Verifier::new().fuel(FUEL).target(target);
+    for (b, got) in table_benchmarks().iter().zip(&cold) {
         let want = plain
             .verify(b.source)
-            .unwrap_or_else(|e| panic!("{}: uncached: {e}", b.file))
+            .unwrap_or_else(|e| panic!("{} [{target}]: uncached: {e}", b.file))
             .to_string();
-        let cold = cached
-            .verify(b.source)
-            .unwrap_or_else(|e| panic!("{}: cold: {e}", b.file))
-            .to_string();
-        let warm = cached
-            .verify(b.source)
-            .unwrap_or_else(|e| panic!("{}: warm: {e}", b.file))
-            .to_string();
-        assert_eq!(want, cold, "{}: cold cached report diverged", b.file);
-        assert_eq!(want, warm, "{}: warm cached report diverged", b.file);
+        assert_eq!(
+            &want, got,
+            "{} [{target}]: cached report diverged from uncached",
+            b.file
+        );
     }
 }
 
