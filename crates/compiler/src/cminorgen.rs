@@ -8,14 +8,11 @@ use clight::{Expr, Program, Stmt, Ty};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Translates a type-checked Clight program to Cminor.
-///
-/// # Errors
-///
-/// Returns a [`CompileError`] on constructs the type checker should have
-/// ruled out (indicating an internal invariant violation).
-pub fn translate(program: &Program) -> Result<CmProgram, CompileError> {
-    let mut out = CmProgram {
+/// The program-level tables of the Cminor translation of `program`
+/// (globals and externals) with no functions: the pass manager
+/// translates, or reuses, those one at a time (`translate_function`).
+pub(crate) fn header(program: &Program) -> CmProgram {
+    CmProgram {
         globals: program
             .globals
             .iter()
@@ -27,11 +24,7 @@ pub fn translate(program: &Program) -> Result<CmProgram, CompileError> {
             .map(|e| (e.name.clone(), e.arity, e.ret.is_some()))
             .collect(),
         functions: Vec::new(),
-    };
-    for f in &program.functions {
-        out.functions.push(translate_function(f, program)?);
     }
-    Ok(out)
 }
 
 struct FnCtx<'a> {

@@ -19,17 +19,10 @@
 
 use crate::rtl::{Node, RtlFunction, RtlInstr, RtlOp, RtlProgram, VReg};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Maximum callee size (in RTL instructions) eligible for inlining.
 const MAX_INLINE_SIZE: usize = 48;
-
-/// Runs the inlining pass over every function.
-pub fn inline(program: &mut RtlProgram) {
-    let candidates = candidates(program);
-    for f in &mut program.functions {
-        inline_function(f, &candidates);
-    }
-}
 
 /// Snapshots the candidate bodies first (the per-function transform would
 /// otherwise mutate functions it still needs to read).
@@ -71,9 +64,9 @@ pub(crate) fn inline_function(f: &mut RtlFunction, candidates: &HashMap<String, 
 
         // Splice the callee body, remapping registers, nodes, and stack
         // offsets.
-        for instr in &callee.code {
-            let mapped = remap(instr, reg_base, node_base, stack_base, dest, next);
-            f.code.push(mapped);
+        let code = Arc::make_mut(&mut f.code);
+        for instr in callee.code.iter() {
+            code.push(remap(instr, reg_base, node_base, stack_base, dest, next));
         }
         f.nregs += callee.nregs;
         f.stacksize += callee.stacksize;
@@ -83,8 +76,8 @@ pub(crate) fn inline_function(f: &mut RtlFunction, candidates: &HashMap<String, 
         let entry = node_base + callee.entry;
         let mut target = entry;
         for (param, arg) in callee.params.iter().zip(&args).rev() {
-            let move_node = f.code.len() as Node;
-            f.code.push(RtlInstr::Op(
+            let move_node = code.len() as Node;
+            code.push(RtlInstr::Op(
                 RtlOp::Move,
                 vec![*arg],
                 param + reg_base,
@@ -92,7 +85,7 @@ pub(crate) fn inline_function(f: &mut RtlFunction, candidates: &HashMap<String, 
             ));
             target = move_node;
         }
-        f.code[site as usize] = RtlInstr::Nop(target);
+        code[site as usize] = RtlInstr::Nop(target);
     }
 }
 

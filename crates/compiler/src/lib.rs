@@ -10,6 +10,10 @@
 //!        --asmgen (stack merging)--> ASMsz
 //! ```
 //!
+//! The [`pipeline`] pass manager runs it, and also compiles incrementally
+//! by splicing in the cached per-function verticals ([`FnArtifacts`]) of
+//! functions whose inputs are unchanged.
+//!
 //! Every language has an interpreter that emits `call`/`ret` events, so
 //! quantitative refinement (`trace::refinement`) is checkable across every
 //! pass on concrete executions — the testable counterpart of the paper's
@@ -45,7 +49,6 @@
 
 pub mod cminor;
 mod cminorgen;
-pub mod incremental;
 pub mod inline;
 pub mod mach;
 mod machgen;
@@ -56,7 +59,6 @@ mod rtlgen;
 
 mod asmgen;
 
-pub use incremental::{compile_incremental, FnArtifacts};
 pub use pipeline::{Pipeline, PipelineConfig, PipelineError};
 
 use std::fmt;
@@ -162,6 +164,36 @@ impl Compiled {
             .find(|f| f.name == fname)
             .map(|f| f.frame_size)
     }
+
+    /// The vertical of the function at `index` in program order (every
+    /// pass keeps the source order of the functions), or `None` past the
+    /// last function.
+    pub fn vertical(&self, index: usize) -> Option<FnArtifacts> {
+        Some(FnArtifacts {
+            cminor: self.cminor.functions.get(index)?.clone(),
+            rtl: self.rtl.functions.get(index)?.clone(),
+            rtl_opt: self.rtl_opt.functions.get(index)?.clone(),
+            mach: self.mach.functions.get(index)?.clone(),
+            asm: self.asm.functions.get(index)?.clone(),
+        })
+    }
+}
+
+/// One function's vertical: its image in every intermediate program
+/// [`Compiled`] retains, in pipeline order. Crate `vcache` caches these
+/// per function and [`Pipeline::run_reusing`] splices them back in.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FnArtifacts {
+    /// Cminor translation (post-`cminorgen`).
+    pub cminor: cminor::CmFunction,
+    /// RTL before optimization (post-`rtlgen`).
+    pub rtl: rtl::RtlFunction,
+    /// RTL after the enabled optimizations (post-`tunnel`).
+    pub rtl_opt: rtl::RtlFunction,
+    /// Mach translation with the laid-out frame (post-`machgen`).
+    pub mach: mach::MachFunction,
+    /// Final `ASMsz` code (post-`asmgen`).
+    pub asm: asm::AsmFunction,
 }
 
 /// Compiles a type-checked Clight program with default options.
@@ -184,14 +216,7 @@ pub fn compile(program: &clight::Program) -> Result<Compiled, CompileError> {
 ///
 /// See [`compile`].
 pub fn compile_with(program: &clight::Program, options: Options) -> Result<Compiled, CompileError> {
-    Pipeline::new(PipelineConfig::with_options(options))
-        .run(program)
-        .map_err(|e| match e {
-            PipelineError::Compile(e) => e,
-            // Unreachable with the default config: refinement checkpoints
-            // are off.
-            other => CompileError::Internal(other.to_string()),
-        })
+    Ok(Pipeline::new(PipelineConfig::with_options(options)).run(program)?)
 }
 
 /// Convenience: parse, type-check, and compile C source in one call.

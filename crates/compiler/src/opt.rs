@@ -8,28 +8,15 @@
 //! refinement holds with *equal* weights — which the compiler's
 //! differential tests check on every build.
 
-use crate::rtl::{RtlFunction, RtlInstr, RtlOp, RtlProgram, VReg};
+use crate::rtl::{RtlFunction, RtlInstr, RtlOp, VReg};
 use mem::Value;
 use std::collections::HashMap;
-
-/// Runs constant propagation on every function.
-pub fn constprop(program: &mut RtlProgram) {
-    for f in &mut program.functions {
-        constprop_function(f);
-    }
-}
-
-/// Runs dead-code elimination on every function.
-pub fn dce(program: &mut RtlProgram) {
-    for f in &mut program.functions {
-        dce_function(f);
-    }
-}
+use std::sync::Arc;
 
 /// Number of definitions of each vreg in a function.
 fn def_counts(f: &RtlFunction) -> HashMap<VReg, u32> {
     let mut counts = HashMap::new();
-    for i in &f.code {
+    for i in f.code.iter() {
         if let Some(d) = i.def() {
             *counts.entry(d).or_insert(0) += 1;
         }
@@ -51,7 +38,7 @@ pub(crate) fn constprop_function(f: &mut RtlFunction) {
     for _ in 0..4 {
         let defs = def_counts(f);
         let mut known: HashMap<VReg, u32> = HashMap::new();
-        for i in &f.code {
+        for i in f.code.iter() {
             if let RtlInstr::Op(RtlOp::Const(k), _, d, _) = i {
                 if defs.get(d) == Some(&1) {
                     known.insert(*d, *k);
@@ -62,7 +49,7 @@ pub(crate) fn constprop_function(f: &mut RtlFunction) {
             return;
         }
         let mut changed = false;
-        for i in f.code.iter_mut() {
+        for i in Arc::make_mut(&mut f.code).iter_mut() {
             match i {
                 RtlInstr::Op(RtlOp::Move, args, d, n) => {
                     if let Some(k) = known.get(&args[0]) {
@@ -118,13 +105,13 @@ pub(crate) fn constprop_function(f: &mut RtlFunction) {
 pub(crate) fn dce_function(f: &mut RtlFunction) {
     loop {
         let mut used: HashMap<VReg, u32> = HashMap::new();
-        for i in &f.code {
+        for i in f.code.iter() {
             for u in i.uses() {
                 *used.entry(u).or_insert(0) += 1;
             }
         }
         let mut changed = false;
-        for i in f.code.iter_mut() {
+        for i in Arc::make_mut(&mut f.code).iter_mut() {
             let dead = match i {
                 RtlInstr::Op(_, _, d, n) | RtlInstr::Load(_, d, n) => {
                     if used.get(d).copied().unwrap_or(0) == 0 {
@@ -149,14 +136,8 @@ pub(crate) fn dce_function(f: &mut RtlFunction) {
 /// Shortens `Nop` chains so later passes see compact successor edges, and
 /// leaves unreachable instructions in place (they are simply never
 /// executed or emitted).
-pub fn tunnel(program: &mut RtlProgram) {
-    for f in &mut program.functions {
-        tunnel_function(f);
-    }
-}
-
 pub(crate) fn tunnel_function(f: &mut RtlFunction) {
-    let resolve = |mut n: u32, code: &Vec<RtlInstr>| {
+    let resolve = |mut n: u32, code: &[RtlInstr]| {
         let mut hops = 0;
         while let RtlInstr::Nop(next) = &code[n as usize] {
             n = *next;
@@ -169,7 +150,7 @@ pub(crate) fn tunnel_function(f: &mut RtlFunction) {
     };
     let code_snapshot = f.code.clone();
     f.entry = resolve(f.entry, &code_snapshot);
-    for i in f.code.iter_mut() {
+    for i in Arc::make_mut(&mut f.code).iter_mut() {
         match i {
             RtlInstr::Op(_, _, _, n)
             | RtlInstr::Load(_, _, n)

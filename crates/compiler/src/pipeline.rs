@@ -12,8 +12,14 @@
 //! concrete run, the testable counterpart of the paper's per-pass
 //! theorems.
 //!
-//! The per-function passes (`rtlgen` and the RTL optimizations through
-//! `asmgen`) additionally support a parallel mode
+//! Every pass maps functions one at a time against read-only program
+//! context, as in Leroy's CompCert back-end, so [`Pipeline`] also compiles
+//! incrementally: given cached per-function verticals ([`FnArtifacts`]),
+//! [`Pipeline::run_reusing`] has each pass emit a reused function's image
+//! at its output stage instead of translating it, and runs the refinement
+//! checkpoints on these spliced programs as on cold ones.
+//!
+//! The per-function passes additionally support a parallel mode
 //! ([`PipelineConfig::parallel`]) that fans independent function
 //! translations out across `std::thread` workers. Functions are
 //! re-assembled in program order, so parallel output is byte-identical to
@@ -39,8 +45,10 @@
 //! ```
 
 use crate::{asmgen, cminor, cminorgen, inline, mach, machgen, opt, rtl, rtlgen};
-use crate::{CompileError, Compiled, Options};
+use crate::{CompileError, Compiled, FnArtifacts, Options};
+use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 use trace::refinement::{self, RefinementError};
 use trace::Behavior;
 
@@ -120,13 +128,39 @@ impl Ir {
 
 /// Per-run context handed to every pass by the driver.
 #[derive(Debug, Clone, Copy)]
-pub struct PassContext {
+pub struct PassContext<'a> {
     /// Number of worker threads a per-function pass may fan out to
     /// (`1` means serial).
     pub workers: usize,
     /// The machine the backend passes emit code for (from
     /// [`Options::target`]).
     pub target: asm::Target,
+    /// Cached verticals by function name (see [`Pipeline::run_reusing`]):
+    /// a pass emits a listed function's image at its own output stage
+    /// instead of translating it.
+    pub reuse: &'a HashMap<String, Arc<FnArtifacts>>,
+}
+
+impl PassContext<'_> {
+    /// Maps `translate` over a program's functions in order, fanned out
+    /// across [`PassContext::workers`] threads, except that a reused
+    /// function yields `cached` of its vertical.
+    fn map_functions<T: Sync, U: Send>(
+        &self,
+        functions: &[T],
+        name: impl Fn(&T) -> &str + Sync,
+        cached: impl Fn(&FnArtifacts) -> U + Sync,
+        translate: impl Fn(&T) -> Result<U, CompileError> + Sync,
+    ) -> Result<Vec<U>, CompileError> {
+        par_map(functions, self.workers, "compile", |f| {
+            match self.reuse.get(name(f)) {
+                Some(a) => Ok(cached(a)),
+                None => translate(f),
+            }
+        })
+        .into_iter()
+        .collect()
+    }
 }
 
 /// One compiler pass: a named transformation between [`Ir`] stages with a
@@ -140,14 +174,16 @@ pub trait Pass: Send + Sync {
     /// `compiler/<name>` around the pass.
     fn name(&self) -> &'static str;
 
-    /// Transforms the input IR into the output IR.
+    /// Transforms the input IR into the output IR, emitting the functions
+    /// [`PassContext::reuse`] lists as their cached image at this pass's
+    /// output stage.
     ///
     /// # Errors
     ///
     /// Returns a [`CompileError`] on malformed input (including an input
     /// [`Ir`] stage the pass does not accept) or internal invariant
     /// violations.
-    fn run(&self, input: &Ir, ctx: &PassContext) -> Result<Ir, CompileError>;
+    fn run(&self, input: &Ir, ctx: &PassContext<'_>) -> Result<Ir, CompileError>;
 
     /// The size measure reported as the `instrs_in`/`instrs_out` obs
     /// counters; defaults to [`Ir::size`].
@@ -188,30 +224,27 @@ pub trait Pass: Send + Sync {
 }
 
 /// Maps `f` over `items` preserving order, fanning out across at most
-/// `workers` threads. With `workers <= 1` (or one item) this is a plain
-/// serial map, and parallel chunks are re-assembled by index, so the
-/// result is identical either way.
-pub(crate) fn par_map<T, U>(
+/// `workers` threads named `<track>-<i>` in timelines. With `workers <= 1`
+/// (or one item) this is a serial map on the calling thread, and parallel
+/// chunks are re-assembled by index, so the result is identical either way.
+pub fn par_map<T: Sync, U: Send>(
     items: &[T],
     workers: usize,
-    f: impl Fn(&T) -> Result<U, CompileError> + Sync,
-) -> Result<Vec<U>, CompileError>
-where
-    T: Sync,
-    U: Send,
-{
+    track: &str,
+    f: impl Fn(&T) -> U + Sync,
+) -> Vec<U> {
     let workers = workers.min(items.len());
     if workers <= 1 {
         return items.iter().map(f).collect();
     }
-    let mut slots: Vec<Option<Result<U, CompileError>>> = Vec::new();
+    let mut slots: Vec<Option<U>> = Vec::new();
     slots.resize_with(items.len(), || None);
     let chunk = items.len().div_ceil(workers);
     std::thread::scope(|scope| {
         for (w, (out, inp)) in slots.chunks_mut(chunk).zip(items.chunks(chunk)).enumerate() {
             let f = &f;
             scope.spawn(move || {
-                obs::register_thread(&format!("compile-{w}"));
+                obs::register_thread(&format!("{track}-{w}"));
                 for (slot, item) in out.iter_mut().zip(inp) {
                     *slot = Some(f(item));
                 }
@@ -224,40 +257,46 @@ where
         .collect()
 }
 
-/// Applies `f` to every item in place, fanning out across at most
-/// `workers` threads. Items are mutated independently, so the result does
-/// not depend on scheduling.
-fn par_for_each_mut<T: Send>(items: &mut [T], workers: usize, f: impl Fn(&mut T) + Sync) {
-    let workers = workers.min(items.len());
-    if workers <= 1 {
-        for item in items {
-            f(item);
-        }
-        return;
-    }
-    let chunk = items.len().div_ceil(workers);
-    std::thread::scope(|scope| {
-        for (w, part) in items.chunks_mut(chunk).enumerate() {
-            let f = &f;
-            scope.spawn(move || {
-                obs::register_thread(&format!("compile-{w}"));
-                for item in part {
-                    f(item);
-                }
-            });
-        }
-    });
+/// The error of a pass handed an IR stage it does not accept.
+fn wrong_stage(pass: &str, expected: &str, got: &Ir) -> CompileError {
+    let got = got.stage();
+    CompileError::Internal(format!("{pass}: expected {expected} input, got {got}"))
 }
 
-/// Expects an RTL input, cloning it for an in-place transformation.
-fn expect_rtl(pass: &'static str, input: &Ir) -> Result<rtl::RtlProgram, CompileError> {
+/// Expects an RTL input.
+fn expect_rtl<'a>(pass: &str, input: &'a Ir) -> Result<&'a rtl::RtlProgram, CompileError> {
     match input {
-        Ir::Rtl(p) => Ok(p.clone()),
-        other => Err(CompileError::Internal(format!(
-            "{pass}: expected rtl input, got {}",
-            other.stage()
-        ))),
+        Ir::Rtl(p) => Ok(p),
+        other => Err(wrong_stage(pass, "rtl", other)),
     }
+}
+
+/// An RTL → RTL pass: `transform` rewrites a copy of every function,
+/// except that a reused function becomes its cached optimized image
+/// (`rtl_opt`). A reused function thus leaves the optimization chain
+/// after its first pass, which in [`Pipeline::new`]'s order is `inline`,
+/// whose candidate table needs the unoptimized bodies `rtlgen` emitted.
+fn map_rtl(
+    pass: &str,
+    input: &Ir,
+    ctx: &PassContext<'_>,
+    transform: impl Fn(&mut rtl::RtlFunction) + Sync,
+) -> Result<Ir, CompileError> {
+    let p = expect_rtl(pass, input)?;
+    Ok(Ir::Rtl(rtl::RtlProgram {
+        globals: p.globals.clone(),
+        externals: p.externals.clone(),
+        functions: ctx.map_functions(
+            &p.functions,
+            |f| &f.name,
+            |a| a.rtl_opt.clone(),
+            |f| {
+                let mut f = f.clone();
+                transform(&mut f);
+                Ok(f)
+            },
+        )?,
+    }))
 }
 
 /// Clight → Cminor (local-variable merging into an explicit stack block).
@@ -269,14 +308,19 @@ impl Pass for CminorGen {
         "cminorgen"
     }
 
-    fn run(&self, input: &Ir, _ctx: &PassContext) -> Result<Ir, CompileError> {
-        match input {
-            Ir::Clight(p) => Ok(Ir::Cminor(cminorgen::translate(p)?)),
-            other => Err(CompileError::Internal(format!(
-                "cminorgen: expected clight input, got {}",
-                other.stage()
-            ))),
-        }
+    fn run(&self, input: &Ir, ctx: &PassContext<'_>) -> Result<Ir, CompileError> {
+        let Ir::Clight(p) = input else {
+            return Err(wrong_stage("cminorgen", "clight", input));
+        };
+        Ok(Ir::Cminor(cminor::CmProgram {
+            functions: ctx.map_functions(
+                &p.functions,
+                |f| &f.name,
+                |a| a.cminor.clone(),
+                |f| cminorgen::translate_function(f, p),
+            )?,
+            ..cminorgen::header(p)
+        }))
     }
 }
 
@@ -289,18 +333,20 @@ impl Pass for RtlGen {
         "rtlgen"
     }
 
-    fn run(&self, input: &Ir, ctx: &PassContext) -> Result<Ir, CompileError> {
-        match input {
-            Ir::Cminor(p) => Ok(Ir::Rtl(rtl::RtlProgram {
-                globals: p.globals.clone(),
-                externals: p.externals.clone(),
-                functions: par_map(&p.functions, ctx.workers, rtlgen::translate_function)?,
-            })),
-            other => Err(CompileError::Internal(format!(
-                "rtlgen: expected cminor input, got {}",
-                other.stage()
-            ))),
-        }
+    fn run(&self, input: &Ir, ctx: &PassContext<'_>) -> Result<Ir, CompileError> {
+        let Ir::Cminor(p) = input else {
+            return Err(wrong_stage("rtlgen", "cminor", input));
+        };
+        Ok(Ir::Rtl(rtl::RtlProgram {
+            globals: p.globals.clone(),
+            externals: p.externals.clone(),
+            functions: ctx.map_functions(
+                &p.functions,
+                |f| &f.name,
+                |a| a.rtl.clone(),
+                rtlgen::translate_function,
+            )?,
+        }))
     }
 }
 
@@ -314,13 +360,11 @@ impl Pass for Inline {
         "inline"
     }
 
-    fn run(&self, input: &Ir, ctx: &PassContext) -> Result<Ir, CompileError> {
-        let mut p = expect_rtl("inline", input)?;
-        let candidates = inline::candidates(&p);
-        par_for_each_mut(&mut p.functions, ctx.workers, |f| {
-            inline::inline_function(f, &candidates);
-        });
-        Ok(Ir::Rtl(p))
+    fn run(&self, input: &Ir, ctx: &PassContext<'_>) -> Result<Ir, CompileError> {
+        let candidates = inline::candidates(expect_rtl("inline", input)?);
+        map_rtl("inline", input, ctx, |f| {
+            inline::inline_function(f, &candidates)
+        })
     }
 
     fn reports_input_size(&self) -> bool {
@@ -337,10 +381,8 @@ impl Pass for ConstProp {
         "constprop"
     }
 
-    fn run(&self, input: &Ir, ctx: &PassContext) -> Result<Ir, CompileError> {
-        let mut p = expect_rtl("constprop", input)?;
-        par_for_each_mut(&mut p.functions, ctx.workers, opt::constprop_function);
-        Ok(Ir::Rtl(p))
+    fn run(&self, input: &Ir, ctx: &PassContext<'_>) -> Result<Ir, CompileError> {
+        map_rtl("constprop", input, ctx, opt::constprop_function)
     }
 
     fn reports_input_size(&self) -> bool {
@@ -357,10 +399,8 @@ impl Pass for Dce {
         "dce"
     }
 
-    fn run(&self, input: &Ir, ctx: &PassContext) -> Result<Ir, CompileError> {
-        let mut p = expect_rtl("dce", input)?;
-        par_for_each_mut(&mut p.functions, ctx.workers, opt::dce_function);
-        Ok(Ir::Rtl(p))
+    fn run(&self, input: &Ir, ctx: &PassContext<'_>) -> Result<Ir, CompileError> {
+        map_rtl("dce", input, ctx, opt::dce_function)
     }
 
     fn reports_input_size(&self) -> bool {
@@ -377,10 +417,8 @@ impl Pass for Tunnel {
         "tunnel"
     }
 
-    fn run(&self, input: &Ir, ctx: &PassContext) -> Result<Ir, CompileError> {
-        let mut p = expect_rtl("tunnel", input)?;
-        par_for_each_mut(&mut p.functions, ctx.workers, opt::tunnel_function);
-        Ok(Ir::Rtl(p))
+    fn run(&self, input: &Ir, ctx: &PassContext<'_>) -> Result<Ir, CompileError> {
+        map_rtl("tunnel", input, ctx, opt::tunnel_function)
     }
 
     fn reports_input_size(&self) -> bool {
@@ -398,24 +436,20 @@ impl Pass for MachGen {
         "machgen"
     }
 
-    fn run(&self, input: &Ir, ctx: &PassContext) -> Result<Ir, CompileError> {
-        match input {
-            Ir::Rtl(p) => {
-                let env = machgen::Env::new(p, ctx.target);
-                Ok(Ir::Mach(mach::MachProgram {
-                    target: ctx.target,
-                    globals: p.globals.clone(),
-                    externals: p.externals.clone(),
-                    functions: par_map(&p.functions, ctx.workers, |f| {
-                        machgen::translate_function(f, &env)
-                    })?,
-                }))
-            }
-            other => Err(CompileError::Internal(format!(
-                "machgen: expected rtl input, got {}",
-                other.stage()
-            ))),
-        }
+    fn run(&self, input: &Ir, ctx: &PassContext<'_>) -> Result<Ir, CompileError> {
+        let p = expect_rtl("machgen", input)?;
+        let env = machgen::Env::new(p, ctx.target);
+        Ok(Ir::Mach(mach::MachProgram {
+            target: ctx.target,
+            globals: p.globals.clone(),
+            externals: p.externals.clone(),
+            functions: ctx.map_functions(
+                &p.functions,
+                |f| &f.name,
+                |a| a.mach.clone(),
+                |f| machgen::translate_function(f, &env),
+            )?,
+        }))
     }
 
     fn reports_input_size(&self) -> bool {
@@ -436,28 +470,28 @@ impl Pass for AsmGen {
         "asmgen"
     }
 
-    fn run(&self, input: &Ir, ctx: &PassContext) -> Result<Ir, CompileError> {
-        match input {
-            Ir::Mach(p) => Ok(Ir::Asm(asm::AsmProgram {
-                target: p.target,
-                globals: p.globals.clone(),
-                externals: p
-                    .externals
-                    .iter()
-                    .map(|(n, a, _)| asm::AsmExternal {
-                        name: n.clone(),
-                        arity: *a,
-                    })
-                    .collect(),
-                functions: par_map(&p.functions, ctx.workers, |f| {
-                    asmgen::translate_function(f, p.target)
-                })?,
-            })),
-            other => Err(CompileError::Internal(format!(
-                "asmgen: expected mach input, got {}",
-                other.stage()
-            ))),
-        }
+    fn run(&self, input: &Ir, ctx: &PassContext<'_>) -> Result<Ir, CompileError> {
+        let Ir::Mach(p) = input else {
+            return Err(wrong_stage("asmgen", "mach", input));
+        };
+        Ok(Ir::Asm(asm::AsmProgram {
+            target: p.target,
+            globals: p.globals.clone(),
+            externals: p
+                .externals
+                .iter()
+                .map(|(n, a, _)| asm::AsmExternal {
+                    name: n.clone(),
+                    arity: *a,
+                })
+                .collect(),
+            functions: ctx.map_functions(
+                &p.functions,
+                |f| &f.name,
+                |a| a.asm.clone(),
+                |f| asmgen::translate_function(f, p.target),
+            )?,
+        }))
     }
 
     fn target_specific(&self) -> bool {
@@ -564,6 +598,18 @@ impl From<CompileError> for PipelineError {
     }
 }
 
+impl From<PipelineError> for CompileError {
+    /// A failed refinement checkpoint becomes [`CompileError::Internal`]
+    /// naming the pass and the discrepancy: a pass that changes behavior
+    /// is a compiler bug.
+    fn from(e: PipelineError) -> CompileError {
+        match e {
+            PipelineError::Compile(e) => e,
+            refinement => CompileError::Internal(refinement.to_string()),
+        }
+    }
+}
+
 /// Intermediate programs the driver retains to assemble [`Compiled`].
 #[derive(Default)]
 struct Snapshots {
@@ -581,9 +627,7 @@ impl Snapshots {
             Ir::Clight(_) => {}
             Ir::Cminor(p) => self.cminor = Some(p),
             Ir::Rtl(p) => {
-                if self.rtl0.is_none() {
-                    self.rtl0 = Some(p.clone());
-                }
+                self.rtl0.get_or_insert_with(|| p.clone());
                 self.rtl_latest = Some(p);
             }
             Ir::Mach(p) => self.mach = Some(p),
@@ -641,11 +685,6 @@ impl Pipeline {
         Pipeline { config, passes }
     }
 
-    /// The configuration this pipeline runs with.
-    pub fn config(&self) -> &PipelineConfig {
-        &self.config
-    }
-
     /// The pass names in execution order.
     pub fn pass_names(&self) -> Vec<&'static str> {
         self.passes.iter().map(|p| p.name()).collect()
@@ -660,10 +699,32 @@ impl Pipeline {
     ///
     /// See [`PipelineError`].
     pub fn run(&self, program: &clight::Program) -> Result<Compiled, PipelineError> {
+        self.run_reusing(program, &HashMap::new())
+    }
+
+    /// [`Pipeline::run`], splicing in the cached verticals of `reuse` (by
+    /// function name): every pass emits a listed function's image at its
+    /// output stage instead of translating it. Checkpoints run on the
+    /// spliced programs, so a wrong entry fails like a miscompilation.
+    ///
+    /// Entries are used verbatim: each must come from an identical
+    /// function under identical program signatures (`machgen` compiles
+    /// names to table positions), callee bodies and [`Options`], which is
+    /// what crate `vcache`'s keys cover.
+    ///
+    /// # Errors
+    ///
+    /// See [`PipelineError`].
+    pub fn run_reusing(
+        &self,
+        program: &clight::Program,
+        reuse: &HashMap<String, Arc<FnArtifacts>>,
+    ) -> Result<Compiled, PipelineError> {
         let _span = obs::span("compiler/compile");
         let ctx = PassContext {
             workers: self.config.effective_workers(),
             target: self.config.options.target,
+            reuse,
         };
         let mut snapshots = Snapshots::default();
         let mut current = Ir::Clight(program.clone());

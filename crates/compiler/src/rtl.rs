@@ -10,6 +10,7 @@
 use mem::{Binop, BlockId, Memory, Unop, Value};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 use trace::{Behavior, Event, Trace};
 
 /// A virtual register.
@@ -126,8 +127,11 @@ pub struct RtlFunction {
     pub stacksize: u32,
     /// Entry node.
     pub entry: Node,
-    /// Instructions, indexed by node id.
-    pub code: Vec<RtlInstr>,
+    /// Instructions, indexed by node id. Shared, so that the pipeline's
+    /// per-pass programs, [`crate::Compiled`] and a cached
+    /// [`crate::FnArtifacts`] hold one body; the passes that rewrite it
+    /// copy on write ([`Arc::make_mut`]).
+    pub code: Arc<Vec<RtlInstr>>,
     /// Number of virtual registers in use.
     pub nregs: u32,
     /// Whether the function returns a value.

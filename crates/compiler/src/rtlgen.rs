@@ -10,6 +10,7 @@ use crate::cminor::{CmExpr, CmFunction, CmStmt};
 use crate::rtl::{Node, RtlFunction, RtlInstr, RtlOp, VReg};
 use crate::CompileError;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 struct Builder {
     code: Vec<RtlInstr>,
@@ -43,7 +44,7 @@ pub(crate) fn translate_function(f: &CmFunction) -> Result<RtlFunction, CompileE
         stacksize: f.stacksize,
         entry,
         nregs: b.next_reg,
-        code: b.code,
+        code: Arc::new(b.code),
         returns_value: f.returns_value,
     })
 }

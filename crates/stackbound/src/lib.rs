@@ -120,46 +120,20 @@ impl Report {
     }
 }
 
-/// Deterministic, order-preserving parallel map over a work list: results
-/// land in index order, so serial and parallel callers produce
-/// byte-identical output. Mirrors the compiler backend's chunked
-/// [`std::thread::scope`] fan (`compiler::pipeline`); worker count is the
-/// machine's available parallelism capped at the item count, and the
-/// closure runs inline when that leaves a single worker.
-///
-/// Shared by the [`Verifier`]'s `--parallel-measure` mode and the bench
-/// harnesses.
+/// Deterministic, order-preserving parallel map over a work list on the
+/// machine's available parallelism ([`compiler::pipeline::par_map`]):
+/// results land in index order, so parallel output is byte-identical to
+/// serial output. The opt-in fan-out of [`Verifier::parallel_measure`] and
+/// the bench harnesses' `--parallel-measure`; a default verification never
+/// starts a thread.
 pub fn par_map<T, U, F>(items: &[T], f: F) -> Vec<U>
 where
     T: Sync,
     U: Send,
     F: Fn(&T) -> U + Sync,
 {
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(items.len());
-    if workers <= 1 {
-        return items.iter().map(f).collect();
-    }
-    let mut slots: Vec<Option<U>> = Vec::new();
-    slots.resize_with(items.len(), || None);
-    let chunk = items.len().div_ceil(workers);
-    std::thread::scope(|scope| {
-        for (w, (out, inp)) in slots.chunks_mut(chunk).zip(items.chunks(chunk)).enumerate() {
-            let f = &f;
-            scope.spawn(move || {
-                obs::register_thread(&format!("worker-{w}"));
-                for (slot, item) in out.iter_mut().zip(inp) {
-                    *slot = Some(f(item));
-                }
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.expect("every slot is filled by exactly one worker"))
-        .collect()
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    compiler::pipeline::par_map(items, workers, "worker", f)
 }
 
 impl fmt::Display for Report {
@@ -201,10 +175,11 @@ pub enum Error {
     Derivation(qhl::QhlError),
     /// Compilation failed.
     Compiler(compiler::CompileError),
-    /// The compiler pipeline rejected the run: a pass failed its
-    /// refinement checkpoint (only possible with
-    /// [`Verifier::check_refinement`] or a custom [`Verifier::pipeline`]
-    /// configuration).
+    /// A [`compiler::Pipeline`] run failed its refinement checkpoint.
+    /// Built only by callers that run the pipeline themselves (such as a
+    /// benchmark's tracer); the [`Verifier`] compiles through
+    /// [`vcache::compile`], which reports a failed checkpoint as an
+    /// [`Error::Compiler`] naming the pass and the discrepancy.
     Pipeline(compiler::PipelineError),
     /// The machine run failed (overflow would mean an unsound bound).
     Machine(String),
@@ -225,80 +200,40 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-/// One stage of the end-to-end verification pipeline (the paper's
-/// Figure 2 loop): the [`Verifier`] runs these in declaration order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Stage {
-    /// Parse and type-check the C source.
-    Frontend,
-    /// Run the automatic stack analyzer, producing derivations.
-    Analyze,
-    /// Re-check the generated derivations with the [`qhl`] validator.
-    CheckDerivations,
-    /// Compile through the quantitative pipeline.
-    Compile,
-    /// Instantiate the symbolic bounds with the compiler's cost metric.
-    Bound,
-    /// Execute `main` on the `ASMsz` machine with a stack of exactly the
-    /// verified bound and record the measured usage.
-    Measure,
-}
-
-impl Stage {
-    /// Every stage, in execution order.
-    pub const ALL: [Stage; 6] = [
-        Stage::Frontend,
-        Stage::Analyze,
-        Stage::CheckDerivations,
-        Stage::Compile,
-        Stage::Bound,
-        Stage::Measure,
-    ];
-
-    /// The stage's name as it appears in obs spans and error messages.
-    pub fn name(self) -> &'static str {
-        match self {
-            Stage::Frontend => "frontend",
-            Stage::Analyze => "analyze",
-            Stage::CheckDerivations => "check-derivations",
-            Stage::Compile => "compile",
-            Stage::Bound => "bound",
-            Stage::Measure => "measure",
-        }
-    }
-
-    /// Whether the stage may be skipped. The mandatory stages produce the
-    /// data every [`Report`] carries; only the re-validation and the
-    /// machine run are optional.
-    pub fn optional(self) -> bool {
-        matches!(self, Stage::CheckDerivations | Stage::Measure)
-    }
-}
-
 /// A configurable builder for the end-to-end verification pipeline.
+/// It runs the paper's Figure 2 loop: front end, analysis, derivation
+/// check, compilation, bound instantiation and measurement, in that
+/// order.
 ///
 /// [`verify_program`] is the all-defaults instance of this builder; use
-/// the builder directly to skip or configure stages — a no-measure batch
-/// mode, a custom interpreter fuel, a refinement-checked or parallel
-/// compile:
+/// a `Verifier` directly to switch the optional steps off or configure
+/// them — a no-measure batch mode, a custom interpreter fuel, a
+/// refinement-checked or parallel compile:
 ///
 /// ```
-/// use stackbound::{Stage, Verifier};
+/// use stackbound::Verifier;
 ///
 /// let report = Verifier::new()
-///     .skip(Stage::Measure)             // bound-only batch mode
+///     .measure(false)                   // bound-only batch mode
 ///     .check_refinement(true)           // per-pass refinement checkpoints
 ///     .verify("u32 id(u32 x) { return x; }
 ///              int main() { u32 r; r = id(7); return r; }")
 ///     .unwrap();
 /// assert!(report.bound("main").is_some());
-/// assert_eq!(report.measured("main"), None); // measurement was skipped
+/// assert_eq!(report.measured("main"), None); // measurement was off
 /// ```
+///
+/// Every run goes through a [`vcache::VCache`] and an
+/// [`asm::MeasureCache`]: the caller's ([`Verifier::vcache`],
+/// [`Verifier::measure_cache`]) or fresh ones for that call. A fresh
+/// cache misses everywhere, so an uncached run does exactly the work of
+/// a cold one.
 #[derive(Debug, Clone)]
 pub struct Verifier {
     fuel: u64,
     params: Vec<(String, u32)>,
-    skipped: std::collections::BTreeSet<Stage>,
+    check_derivations: bool,
+    measure: bool,
     pipeline: compiler::PipelineConfig,
     measure_all: bool,
     parallel_measure: bool,
@@ -313,13 +248,14 @@ impl Default for Verifier {
 }
 
 impl Verifier {
-    /// A verifier with the defaults of [`verify_program`]: every stage,
+    /// A verifier with the defaults of [`verify_program`]: every step,
     /// [`DEFAULT_FUEL`], the default compiler pipeline.
     pub fn new() -> Verifier {
         Verifier {
             fuel: DEFAULT_FUEL,
             params: Vec::new(),
-            skipped: std::collections::BTreeSet::new(),
+            check_derivations: true,
+            measure: true,
             pipeline: compiler::PipelineConfig::default(),
             measure_all: false,
             parallel_measure: false,
@@ -351,35 +287,19 @@ impl Verifier {
         self
     }
 
-    /// Skips an [optional](Stage::optional) stage. Skipping a mandatory
-    /// stage is ignored: every later stage depends on its output.
-    #[must_use]
-    pub fn skip(mut self, stage: Stage) -> Verifier {
-        if stage.optional() {
-            self.skipped.insert(stage);
-        }
-        self
-    }
-
-    /// Convenience for skipping/unskipping [`Stage::Measure`].
+    /// Runs (the default) or skips the measurement: executing `main` on
+    /// the `ASMsz` machine with a stack of exactly the verified bound.
     #[must_use]
     pub fn measure(mut self, on: bool) -> Verifier {
-        if on {
-            self.skipped.remove(&Stage::Measure);
-        } else {
-            self.skipped.insert(Stage::Measure);
-        }
+        self.measure = on;
         self
     }
 
-    /// Convenience for skipping/unskipping [`Stage::CheckDerivations`].
+    /// Runs (the default) or skips re-checking the generated derivations
+    /// with the [`qhl`] validator.
     #[must_use]
     pub fn check_derivations(mut self, on: bool) -> Verifier {
-        if on {
-            self.skipped.remove(&Stage::CheckDerivations);
-        } else {
-            self.skipped.insert(Stage::CheckDerivations);
-        }
+        self.check_derivations = on;
         self
     }
 
@@ -448,27 +368,15 @@ impl Verifier {
     /// verifications reuse every per-function artifact whose inputs are
     /// unchanged (and incremental edits recompute only the edited
     /// function plus its transitive callers). Stage output is
-    /// byte-identical to an uncached run.
-    ///
-    /// The cached compile driver does not support per-pass refinement
-    /// checkpoints (a whole-program concept); when they are configured,
-    /// the compile stage transparently falls back to the regular pass
-    /// manager while the other stages keep caching.
+    /// byte-identical to a run through a fresh cache, and refinement
+    /// checkpoints run on the spliced compiles too.
     #[must_use]
     pub fn vcache(mut self, cache: std::sync::Arc<vcache::VCache>) -> Verifier {
         self.vcache = Some(cache);
         self
     }
 
-    /// The stages this verifier will run, in order.
-    pub fn stages(&self) -> Vec<Stage> {
-        Stage::ALL
-            .into_iter()
-            .filter(|s| !self.skipped.contains(s))
-            .collect()
-    }
-
-    /// Runs the configured stages on `src` and assembles the [`Report`].
+    /// Runs the pipeline on `src` and assembles the [`Report`].
     ///
     /// # Errors
     ///
@@ -477,154 +385,82 @@ impl Verifier {
     /// `interactive_proof` example shows how).
     pub fn verify(&self, src: &str) -> Result<Report, Error> {
         let _span = obs::span("verify/program");
-        let mut program = None;
-        // Content keys per function, computed once after the front end
-        // when a `vcache` is attached.
-        let mut keys: Option<BTreeMap<String, vcache::Key>> = None;
-        let mut analysis = None;
-        let mut compiled: Option<compiler::Compiled> = None;
-        let mut bounds = BTreeMap::new();
-        let mut measured = BTreeMap::new();
-        let mut measurement = None;
-        for stage in self.stages() {
-            match stage {
-                Stage::Frontend => {
-                    let params: Vec<(&str, u32)> =
-                        self.params.iter().map(|(n, v)| (n.as_str(), *v)).collect();
-                    let p = clight::frontend(src, &params).map_err(Error::Frontend)?;
-                    if self.vcache.is_some() {
-                        keys = Some(vcache::keys(&p, &self.pipeline.options));
-                    }
-                    program = Some(p);
-                }
-                Stage::Analyze => {
-                    let program = program.as_ref().expect("frontend is mandatory");
-                    analysis = Some(match (&self.vcache, &keys) {
-                        (Some(cache), Some(keys)) => {
-                            vcache::analyze(cache, program, keys).map_err(Error::Analyzer)?
-                        }
-                        _ => analyzer::analyze(program).map_err(Error::Analyzer)?,
-                    });
-                }
-                Stage::CheckDerivations => {
-                    let program = program.as_ref().expect("frontend is mandatory");
-                    let analysis = analysis.as_ref().expect("analyze is mandatory");
-                    match (&self.vcache, &keys) {
-                        (Some(cache), Some(keys)) => {
-                            vcache::check(cache, program, analysis, keys)
-                                .map_err(Error::Derivation)?;
-                        }
-                        _ => analysis.check(program).map_err(Error::Derivation)?,
-                    }
-                }
-                Stage::Compile => {
-                    let program = program.as_ref().expect("frontend is mandatory");
-                    // Refinement checkpoints are a per-pass, whole-program
-                    // feature of the pass manager; the incremental driver
-                    // has no equivalent, so fall back.
-                    let incremental = !self.pipeline.check_refinement;
-                    compiled = Some(match (&self.vcache, &keys) {
-                        (Some(cache), Some(keys)) if incremental => {
-                            vcache::compile(cache, program, &self.pipeline, keys)
-                                .map_err(Error::Compiler)?
-                        }
-                        _ => compiler::Pipeline::new(self.pipeline.clone())
-                            .run(program)
-                            .map_err(|e| match e {
-                                compiler::PipelineError::Compile(e) => Error::Compiler(e),
-                                other => Error::Pipeline(other),
-                            })?,
-                    });
-                }
-                Stage::Bound => {
-                    let _s = obs::span("verify/bounds");
-                    let program = program.as_ref().expect("frontend is mandatory");
-                    let analysis = analysis.as_ref().expect("analyze is mandatory");
-                    let compiled = compiled.as_ref().expect("compile is mandatory");
-                    for name in program.function_names() {
-                        let bound = match (&self.vcache, &keys) {
-                            (Some(cache), Some(keys)) => vcache::concrete_bound(
-                                cache,
-                                analysis,
-                                &compiled.metric,
-                                name,
-                                keys,
-                            ),
-                            _ => analysis.concrete_bound(name, &compiled.metric),
-                        };
-                        if let Some(b) = bound {
-                            bounds.insert(name.to_owned(), b as u32);
-                        }
-                    }
-                    obs::counter("verify/bounded_functions", bounds.len() as u64);
-                }
-                Stage::Measure => {
-                    let Some(main_bound) = bounds.get("main").copied() else {
-                        continue;
-                    };
-                    let _s = obs::span("verify/measure");
-                    let compiled = compiled.as_ref().expect("compile is mandatory");
-                    // `main` first, then (under `measure_all`) every other
-                    // bounded zero-parameter function in name order —
-                    // `bounds` is a BTreeMap, so the order is deterministic
-                    // no matter how the measurements are scheduled.
-                    let mut targets: Vec<(&str, u32)> = vec![("main", main_bound)];
-                    if self.measure_all {
-                        let program = program.as_ref().expect("frontend is mandatory");
-                        for (name, b) in &bounds {
-                            if name != "main"
-                                && program.function(name).is_some_and(|f| f.params.is_empty())
-                            {
-                                targets.push((name.as_str(), *b));
-                            }
-                        }
-                    }
-                    let measure_one = |&(name, bound): &(&str, u32)| {
-                        let _s = obs::span_dyn(|| format!("measure/fn/{name}"));
-                        match &self.measure_cache {
-                            Some(c) => {
-                                c.measure_function(&compiled.asm, name, &[], bound, self.fuel)
-                            }
-                            None => {
-                                asm::measure_function(&compiled.asm, name, &[], bound, self.fuel)
-                            }
-                        }
-                    };
-                    let results = if self.parallel_measure && targets.len() > 1 {
-                        par_map(&targets, measure_one)
-                    } else {
-                        targets.iter().map(measure_one).collect()
-                    };
-                    let mut pairs = targets.iter().zip(results);
-                    let (_, main_result) = pairs.next().expect("main is always first");
-                    let m = main_result.map_err(|e| Error::Machine(e.to_string()))?;
-                    if let Some(err) = m.error {
-                        return Err(Error::Machine(err.to_string()));
-                    }
-                    if m.behavior.converges() {
-                        measured.insert("main".to_owned(), m.stack_usage);
-                    }
-                    measurement = Some(m);
-                    for (&(name, _), r) in pairs {
-                        // Helpers may legitimately fail cold (e.g. reading
-                        // globals main initializes); record converging runs
-                        // only instead of failing the verification.
-                        if let Ok(m) = r {
-                            if m.error.is_none() && m.behavior.converges() {
-                                measured.insert(name.to_owned(), m.stack_usage);
-                            }
-                        }
-                    }
+        let cache = self.vcache.clone().unwrap_or_default();
+        let params: Vec<(&str, u32)> = self.params.iter().map(|(n, v)| (n.as_str(), *v)).collect();
+        let program = clight::frontend(src, &params).map_err(Error::Frontend)?;
+        let keys = vcache::keys(&program, &self.pipeline.options);
+        let analysis = vcache::analyze(&cache, &program, &keys).map_err(Error::Analyzer)?;
+        if self.check_derivations {
+            vcache::check(&cache, &program, &analysis, &keys).map_err(Error::Derivation)?;
+        }
+        let compiled =
+            vcache::compile(&cache, &program, &self.pipeline, &keys).map_err(Error::Compiler)?;
+        let bounds: BTreeMap<String, u32> = {
+            let _s = obs::span("verify/bounds");
+            program
+                .function_names()
+                .filter_map(|name| {
+                    let b =
+                        vcache::concrete_bound(&cache, &analysis, &compiled.metric, name, &keys)?;
+                    Some((name.to_owned(), b as u32))
+                })
+                .collect()
+        };
+        obs::counter("verify/bounded_functions", bounds.len() as u64);
+        let mut report = Report {
+            bounds,
+            measured: BTreeMap::new(),
+            compiled,
+            analysis,
+            measurement: None,
+        };
+        let (true, Some(main_bound)) = (self.measure, report.bounds.get("main").copied()) else {
+            return Ok(report);
+        };
+        let _s = obs::span("verify/measure");
+        let measures = self.measure_cache.clone().unwrap_or_default();
+        // `main` first, then (under `measure_all`) every other bounded
+        // zero-parameter function in name order — `bounds` is a BTreeMap,
+        // so the order is deterministic no matter how the measurements
+        // are scheduled.
+        let mut targets: Vec<(&str, u32)> = vec![("main", main_bound)];
+        if self.measure_all {
+            for (name, b) in &report.bounds {
+                if name != "main" && program.function(name).is_some_and(|f| f.params.is_empty()) {
+                    targets.push((name.as_str(), *b));
                 }
             }
         }
-        Ok(Report {
-            bounds,
-            measured,
-            compiled: compiled.expect("compile is mandatory"),
-            analysis: analysis.expect("analyze is mandatory"),
-            measurement,
-        })
+        let measure_one = |&(name, bound): &(&str, u32)| {
+            let _s = obs::span_dyn(|| format!("measure/fn/{name}"));
+            measures.measure_function(&report.compiled.asm, name, &[], bound, self.fuel)
+        };
+        let results = if self.parallel_measure {
+            par_map(&targets, measure_one)
+        } else {
+            targets.iter().map(measure_one).collect()
+        };
+        let mut pairs = targets.iter().zip(results);
+        let (_, main_result) = pairs.next().expect("main is always first");
+        let m = main_result.map_err(|e| Error::Machine(e.to_string()))?;
+        if let Some(err) = m.error {
+            return Err(Error::Machine(err.to_string()));
+        }
+        if m.behavior.converges() {
+            report.measured.insert("main".to_owned(), m.stack_usage);
+        }
+        for (&(name, _), r) in pairs {
+            // Helpers may legitimately fail cold (e.g. reading globals main
+            // initializes); record converging runs only instead of failing
+            // the verification.
+            if let Ok(m) = r {
+                if m.error.is_none() && m.behavior.converges() {
+                    report.measured.insert(name.to_owned(), m.stack_usage);
+                }
+            }
+        }
+        report.measurement = Some(m);
+        Ok(report)
     }
 }
 
@@ -635,7 +471,7 @@ impl Verifier {
 /// of exactly the verified bound, and the measured usage is recorded.
 ///
 /// This is the all-defaults instance of [`Verifier`]; use the builder to
-/// skip or configure stages.
+/// switch steps off or configure them.
 ///
 /// # Errors
 ///

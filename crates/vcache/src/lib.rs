@@ -1,8 +1,8 @@
 //! Content-addressed, function-granular verification cache.
 //!
-//! `stackbound`'s pipeline re-derives everything from scratch on every
-//! run, even when only one function of a program (or nothing at all)
-//! changed since the last run. This crate makes the pipeline
+//! Without a cache, `stackbound`'s pipeline would re-derive everything on
+//! every run, even when only one function of a program (or nothing at
+//! all) changed since the last run. This crate makes the pipeline
 //! *incremental*: every per-function artifact the `stackbound` stages
 //! produce — the analyzer's bound and derivation, the `qhl` check
 //! verdict, the compiled per-function vertical, the evaluated concrete
@@ -15,14 +15,17 @@
 //! was *computed by the same deterministic code* on an input with the
 //! same content key, so the cached run's output is byte-identical to a
 //! cold run (pinned by `tests/vcache_equiv.rs`). The cache can make the
-//! pipeline slower, never wronger; and the `CheckDerivations` stage can
-//! always be forced cold to re-validate cached derivations end to end.
+//! pipeline slower, never wronger; and verifying through a fresh cache
+//! re-validates every derivation end to end. With refinement checkpoints
+//! on, a cached compile is also re-checked pass by pass, cached
+//! functions included.
 //!
 //! The cached stage drivers ([`analyze`], [`check`], [`compile`],
-//! [`concrete_bound`]) also fan misses out across worker threads along
-//! the call-graph structure: analysis by SCC level (callees before
-//! callers), compilation per function within the compiler's phase
-//! barriers (via [`compiler::compile_incremental`]).
+//! [`concrete_bound`]) are the `stackbound::Verifier`'s only path: it
+//! runs through a caller's cache or a fresh one. Each walks the program
+//! on the calling thread, so a lookup that hits costs a hash-map probe
+//! and no thread start; [`compile`] hands its hits to the pass manager
+//! ([`compiler::Pipeline::run_reusing`]).
 //!
 //! # Examples
 //!
@@ -59,9 +62,9 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// The cacheable stages, mirroring the artifact-producing subset of
-/// `stackbound::Stage`. (`Frontend` has no per-function artifact and
-/// `Measure` composes with `asm::MeasureCache` instead.)
+/// The cacheable stages: the artifact-producing steps of the
+/// `stackbound::Verifier`. (The front end has no per-function artifact
+/// and the measurement composes with `asm::MeasureCache` instead.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum CacheStage {
     /// The analyzer's symbolic bound and qhl derivation.
@@ -418,70 +421,10 @@ impl std::fmt::Debug for VCache {
     }
 }
 
-/// Deterministic, order-preserving parallel map (the `stackbound::par_map`
-/// construction, duplicated here to keep the dependency arrow pointing
-/// from `stackbound` to `vcache`).
-fn par_map<T, U, F>(items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(items.len());
-    if workers <= 1 {
-        return items.iter().map(f).collect();
-    }
-    let mut slots: Vec<Option<U>> = Vec::new();
-    slots.resize_with(items.len(), || None);
-    let chunk = items.len().div_ceil(workers);
-    std::thread::scope(|scope| {
-        for (w, (out, inp)) in slots.chunks_mut(chunk).zip(items.chunks(chunk)).enumerate() {
-            let f = &f;
-            scope.spawn(move || {
-                obs::register_thread(&format!("worker-{w}"));
-                for (slot, item) in out.iter_mut().zip(inp) {
-                    *slot = Some(f(item));
-                }
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.expect("every slot is filled by exactly one worker"))
-        .collect()
-}
-
-/// Groups `order` (a topological order, callees first) into *levels*: all
-/// functions in a level only call into earlier levels, so one level's
-/// analyses are mutually independent and can run in parallel.
-fn levels(program: &Program, order: &[String]) -> Vec<Vec<String>> {
-    let mut depth: HashMap<&str, usize> = HashMap::new();
-    let mut out: Vec<Vec<String>> = Vec::new();
-    for name in order {
-        let f = program.function(name).expect("ordered names are defined");
-        let d = f
-            .body
-            .callees()
-            .iter()
-            .filter_map(|g| depth.get(g.as_str()))
-            .max()
-            .map_or(0, |d| d + 1);
-        depth.insert(name.as_str(), d);
-        if out.len() <= d {
-            out.resize_with(d + 1, Vec::new);
-        }
-        out[d].push(name.clone());
-    }
-    out
-}
-
-/// The cached, call-graph-parallel replacement for [`analyzer::analyze`]:
-/// derives (or reuses) a bound and derivation per function, fanning each
-/// SCC level of the call graph across worker threads. Output is
-/// byte-identical to the serial analyzer.
+/// The cached replacement for [`analyzer::analyze`]: derives (or reuses)
+/// a bound and derivation per function, walking the topological order
+/// (callees first) on the calling thread. Output is byte-identical to
+/// the analyzer's.
 ///
 /// `keys` must come from [`keys`] on the same program (missing entries
 /// are treated as misses of an impossible key, so a wrong map can cost
@@ -490,7 +433,7 @@ fn levels(program: &Program, order: &[String]) -> Vec<Vec<String>> {
 /// # Errors
 ///
 /// Exactly the [`AnalyzerError`]s [`analyzer::analyze`] reports
-/// (recursion is rejected before any level runs).
+/// (recursion is rejected before any function is analyzed).
 pub fn analyze(
     cache: &VCache,
     program: &Program,
@@ -500,30 +443,22 @@ pub fn analyze(
     let order = analyzer::topological_order(program)?;
     let mut ctx = Context::new();
     let mut derivations = HashMap::new();
-    for level in levels(program, &order) {
-        // Hits resolve without touching the analyzer; misses of one level
-        // are independent given the context of earlier levels.
-        let results: Vec<Result<(Arc<AnalyzeEntry>, bool), AnalyzerError>> =
-            par_map(&level, |name| {
-                let _s = obs::span_dyn(|| format!("vcache/analyze/fn/{name}"));
-                match keys.get(name).and_then(|&k| cache.get_analyze(k)) {
-                    Some(entry) => Ok((entry, false)),
-                    None => {
-                        let (bound, derivation) = analyzer::analyze_function(program, &ctx, name)?;
-                        Ok((Arc::new(AnalyzeEntry { bound, derivation }), true))
-                    }
-                }
-            });
-        for (name, result) in level.iter().zip(results) {
-            let (entry, fresh) = result?;
-            if fresh {
-                if let Some(&key) = keys.get(name) {
+    for name in &order {
+        let _s = obs::span_dyn(|| format!("vcache/analyze/fn/{name}"));
+        let key = keys.get(name).copied();
+        let entry = match key.and_then(|k| cache.get_analyze(k)) {
+            Some(entry) => entry,
+            None => {
+                let (bound, derivation) = analyzer::analyze_function(program, &ctx, name)?;
+                let entry = Arc::new(AnalyzeEntry { bound, derivation });
+                if let Some(key) = key {
                     cache.put_analyze(key, entry.clone());
                 }
+                entry
             }
-            ctx.insert(name.clone(), FunSpec::restoring(entry.bound.clone()));
-            derivations.insert(name.clone(), entry.derivation.clone());
-        }
+        };
+        ctx.insert(name.clone(), FunSpec::restoring(entry.bound.clone()));
+        derivations.insert(name.clone(), entry.derivation.clone());
     }
     Ok(Analysis::from_parts(ctx, derivations, order))
 }
@@ -550,16 +485,11 @@ pub fn check(
     let checker = Checker::new(program, analysis.context());
     for name in analysis.order() {
         let _s = obs::span_dyn(|| format!("vcache/check/fn/{name}"));
-        let key = keys.get(name).copied();
-        if let Some(key) = key {
-            if cache.has_check(key) {
-                continue;
-            }
-        }
         let deriv = analysis.derivation(name).expect("analysis is complete");
-        checker.check_function(name, deriv, None)?;
-        if let Some(key) = key {
-            cache.put_check(key);
+        let check = || checker.check_function(name, deriv, None);
+        match keys.get(name) {
+            Some(&key) => check_cached(cache, key, check)?,
+            None => check()?,
         }
     }
     Ok(())
@@ -588,19 +518,20 @@ pub fn check_cached(
     Ok(())
 }
 
-/// The cached, function-parallel replacement for the compile stage:
-/// resolves cached per-function verticals by key and hands the misses to
-/// [`compiler::compile_incremental`], storing the freshly compiled
-/// verticals back under their keys.
+/// The cached compile stage: looks up every function's vertical by key,
+/// runs the pipeline once with the hits spliced in
+/// ([`compiler::Pipeline::run_reusing`]), and stores each miss's vertical
+/// from the [`compiler::Compiled`] it returns.
 ///
-/// Refinement checkpoints are a whole-program, per-pass concept; callers
-/// wanting them must use the [`compiler::Pipeline`] driver instead (the
-/// `stackbound::Verifier` falls back automatically).
+/// Refinement checkpoints ([`compiler::PipelineConfig::check_refinement`])
+/// run on the spliced programs, cached functions included.
 ///
 /// # Errors
 ///
 /// Exactly the [`compiler::CompileError`]s a pipeline run would produce
-/// on the functions that are actually compiled.
+/// on the functions that are actually compiled. A failed refinement
+/// checkpoint is a [`compiler::CompileError::Internal`] naming the pass
+/// and the discrepancy.
 pub fn compile(
     cache: &VCache,
     program: &Program,
@@ -608,16 +539,16 @@ pub fn compile(
     keys: &BTreeMap<String, Key>,
 ) -> Result<compiler::Compiled, compiler::CompileError> {
     let _span = obs::span("vcache/compile");
-    let mut reuse: HashMap<String, Arc<FnArtifacts>> = HashMap::new();
-    for f in &program.functions {
-        if let Some(artifacts) = keys.get(&f.name).and_then(|&k| cache.get_compile(k)) {
-            reuse.insert(f.name.clone(), artifacts);
-        }
-    }
-    let (compiled, fresh) = compiler::compile_incremental(program, config, &reuse)?;
-    for (name, artifacts) in fresh {
-        if let Some(&key) = keys.get(&name) {
-            cache.put_compile(key, artifacts);
+    let reuse: HashMap<String, Arc<FnArtifacts>> = program
+        .functions
+        .iter()
+        .filter_map(|f| Some((f.name.clone(), cache.get_compile(*keys.get(&f.name)?)?)))
+        .collect();
+    let compiled = compiler::Pipeline::new(config.clone()).run_reusing(program, &reuse)?;
+    for (i, f) in program.functions.iter().enumerate() {
+        if let (None, Some(&key)) = (reuse.get(&f.name), keys.get(&f.name)) {
+            let vertical = compiled.vertical(i).expect("one vertical per function");
+            cache.put_compile(key, Arc::new(vertical));
         }
     }
     Ok(compiled)
@@ -764,17 +695,42 @@ mod tests {
         let warm = compile(&cache, &program, &config, &keys).unwrap();
         assert_eq!(cache.stats(CacheStage::Compile), (3, 3));
 
+        // The `Debug` rendering pins every intermediate program and the
+        // metric at once.
         for c in [&cold, &warm] {
-            assert_eq!(format!("{:?}", c.asm), format!("{:?}", reference.asm));
-            assert_eq!(format!("{:?}", c.mach), format!("{:?}", reference.mach));
-            assert_eq!(format!("{:?}", c.cminor), format!("{:?}", reference.cminor));
-            assert_eq!(format!("{:?}", c.rtl), format!("{:?}", reference.rtl));
-            assert_eq!(
-                format!("{:?}", c.rtl_opt),
-                format!("{:?}", reference.rtl_opt)
-            );
-            assert_eq!(c.metric, reference.metric);
+            assert_eq!(format!("{c:?}"), format!("{reference:?}"));
         }
+    }
+
+    #[test]
+    fn checkpoints_reject_a_poisoned_compile_entry() {
+        let cache = VCache::new();
+        let program = program();
+        let options = compiler::Options::default();
+        let keys = keys(&program, &options);
+        // `leaf`'s slot holds the vertical of a different `leaf`.
+        let other = clight::frontend(&SRC.replace("x + 1", "x + 2"), &[]).unwrap();
+        let wrong = compiler::compile_with(&other, options)
+            .unwrap()
+            .vertical(0)
+            .unwrap();
+        cache.put_compile(keys["leaf"], Arc::new(wrong));
+
+        let config = compiler::PipelineConfig::with_options(options);
+        assert!(compile(&cache, &program, &config, &keys).is_ok());
+        let checked = compiler::PipelineConfig {
+            check_refinement: true,
+            ..config
+        };
+        // The pass and the discrepancy (`main` returns 43, not 42) reach
+        // the caller.
+        let err = compile(&cache, &program, &checked, &keys).unwrap_err();
+        assert!(
+            err.to_string().contains(
+                "pass `cminorgen` failed its refinement checkpoint: behavior outcomes differ"
+            ),
+            "{err}"
+        );
     }
 
     #[test]

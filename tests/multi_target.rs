@@ -7,7 +7,7 @@
 //! agree, or overflow the rv machine); and the parallel backend must stay
 //! byte-identical to the serial one per target.
 
-use stackbound::{asm, benchsuite, clight, compiler, qhl, Stage, Verifier};
+use stackbound::{asm, benchsuite, clight, compiler, qhl, Verifier};
 
 const FUEL: u64 = 200_000_000;
 
@@ -173,7 +173,7 @@ fn slack_is_four_on_sz32_and_zero_on_rv() {
         let report = Verifier::new()
             .fuel(FUEL)
             .target(target)
-            .skip(Stage::CheckDerivations)
+            .check_derivations(false)
             .verify(src)
             .unwrap();
         let bound = report.bound("main").unwrap();

@@ -2,7 +2,7 @@
 //! covering every pipeline layer, machine-readable JSON lines, and a
 //! stack waterline whose peak is the measured usage.
 
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 const SRC: &str = "
     u32 square(u32 x) { return x * x; }
@@ -18,11 +18,15 @@ fn lock() -> std::sync::MutexGuard<'static, ()> {
         .unwrap_or_else(|e| e.into_inner())
 }
 
-fn names(node: &obs::SpanNode, out: &mut Vec<String>) {
-    out.push(node.name.clone());
-    for c in &node.children {
-        names(c, out);
+/// Every span name of the report's trees, parents first.
+fn span_names(report: &obs::Report) -> Vec<String> {
+    fn walk(node: &obs::SpanNode, out: &mut Vec<String>) {
+        out.push(node.name.clone());
+        node.children.iter().for_each(|c| walk(c, out));
     }
+    let mut out = Vec::new();
+    report.roots.iter().for_each(|root| walk(root, &mut out));
+    out
 }
 
 #[test]
@@ -33,17 +37,16 @@ fn span_tree_covers_every_layer() {
     let report = obs::report().expect("recorder installed");
     drop(session);
 
-    let mut spans = Vec::new();
-    for root in &report.roots {
-        names(root, &mut spans);
-    }
+    let spans = span_names(&report);
     for expected in [
         "verify/program",
         "clight/frontend",
         "clight/parse",
         "clight/typecheck",
-        "analyzer/analyze",
-        "analyzer/check",
+        // The verifier enters the analyzer and the checker through the
+        // verification cache, a fresh one when the caller brings none.
+        "vcache/analyze",
+        "vcache/check",
         "compiler/compile",
         "compiler/cminorgen",
         "compiler/rtlgen",
@@ -168,20 +171,7 @@ fn parallel_measure_attributes_hotspots_and_exports_chrome_timelines() {
     // The Chrome export is valid JSON (per the in-crate parser) and, on a
     // multi-core machine, carries the measurement fan-out as at least two
     // distinct thread tracks.
-    let trace = report.to_chrome_trace();
-    let doc = obs::json::parse(&trace).unwrap_or_else(|e| panic!("invalid chrome trace: {e}"));
-    let events = doc
-        .get("traceEvents")
-        .and_then(obs::json::Value::as_array)
-        .expect("traceEvents array");
-    let mut tids: Vec<u64> = events
-        .iter()
-        .filter(|e| e.get("ph").and_then(obs::json::Value::as_str) == Some("X"))
-        .filter_map(|e| e.get("tid").and_then(obs::json::Value::as_f64))
-        .map(|t| t as u64)
-        .collect();
-    tids.sort_unstable();
-    tids.dedup();
+    let tids = span_threads(&report);
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     if cores > 1 {
         assert!(
@@ -198,9 +188,65 @@ fn parallel_measure_attributes_hotspots_and_exports_chrome_timelines() {
     }
 }
 
+/// The distinct thread ids of the Chrome export's complete (`X`) span
+/// events, after checking that the export is valid JSON (per the in-crate
+/// parser).
+fn span_threads(report: &obs::Report) -> Vec<u64> {
+    let trace = report.to_chrome_trace();
+    let doc = obs::json::parse(&trace).unwrap_or_else(|e| panic!("invalid chrome trace: {e}"));
+    let events = doc
+        .get("traceEvents")
+        .and_then(obs::json::Value::as_array)
+        .expect("traceEvents array");
+    let mut tids: Vec<u64> = events
+        .iter()
+        .filter(|e| e.get("ph").and_then(obs::json::Value::as_str) == Some("X"))
+        .filter_map(|e| e.get("tid").and_then(obs::json::Value::as_f64))
+        .map(|t| t as u64)
+        .collect();
+    tids.sort_unstable();
+    tids.dedup();
+    tids
+}
+
+/// Without the opt-in parallel knobs, a verification through a cache runs
+/// on the calling thread, even where the call graph has independent
+/// functions side by side (`leaf0`/`leaf1`, then `leaf2`/`leaf3`); and a
+/// second one, whose every function hits the cache, still runs the pass
+/// manager pass by pass, splicing instead of translating.
+#[test]
+fn cached_verify_runs_every_pass_on_the_calling_thread() {
+    let _guard = lock();
+    let cache = Arc::new(stackbound::vcache::VCache::new());
+    let verifier = stackbound::Verifier::new().vcache(cache.clone());
+    for pass in ["cold", "cached"] {
+        let session = obs::install();
+        verifier.verify(SRC_PAR).unwrap();
+        let report = obs::report().expect("recorder installed");
+        drop(session);
+        assert_eq!(span_threads(&report).len(), 1, "{pass}: several threads");
+        let spans = span_names(&report);
+        let passes = ["cminorgen", "rtlgen", "constprop", "dce", "tunnel"];
+        let backend = ["machgen{target=sz32}", "asmgen{target=sz32}"];
+        for name in passes.into_iter().chain(backend) {
+            assert!(
+                spans.contains(&format!("compiler/{name}")),
+                "{pass}: {spans:?}"
+            );
+        }
+        let translated = spans
+            .iter()
+            .any(|s| s.starts_with("compiler/machgen{target=sz32}/fn/"));
+        assert_eq!(translated, pass == "cold", "{pass}: {spans:?}");
+    }
+    assert_eq!(cache.stats(stackbound::vcache::CacheStage::Compile), (5, 5));
+}
+
 #[test]
 fn measurement_waterline_peaks_at_stack_usage() {
-    // No recorder here on purpose: profiling is independent of obs.
+    // No recorder here on purpose: profiling is independent of obs. The
+    // lock keeps this run's spans out of another test's recorder.
+    let _guard = lock();
     let report = stackbound::verify_program(SRC).unwrap();
     let m = report.measurement.as_ref().expect("main was measured");
     assert!(!m.profile.samples().is_empty());

@@ -1,12 +1,11 @@
 //! Pass-manager integration tests: the parallel per-function backend is
 //! byte-identical to the serial one on the whole benchmark suite, the
 //! per-pass refinement checkpoints hold on Table 1 and on randomized
-//! programs, and the stage-based [`Verifier`] skips exactly what it is
-//! told to.
+//! programs, and the [`Verifier`] skips exactly what it is told to.
 
 use compiler::{Options, Pipeline, PipelineConfig};
 use proptest::prelude::*;
-use stackbound::{Stage, Verifier};
+use stackbound::Verifier;
 
 /// Every program the repository ships: Table 1 plus the extras.
 fn all_benchmarks() -> Vec<benchsuite::Benchmark> {
@@ -82,33 +81,12 @@ fn refinement_checkpoints_hold_on_table1() {
 #[test]
 fn verifier_skip_measure_leaves_no_measurement() {
     let report = Verifier::new()
-        .skip(Stage::Measure)
+        .measure(false)
         .verify("int main() { u32 x[4]; x[0] = 1; return x[0]; }")
         .unwrap();
     assert!(report.measurement.is_none());
     assert_eq!(report.measured("main"), None);
     assert!(report.bound("main").is_some());
-}
-
-#[test]
-fn verifier_ignores_skips_of_mandatory_stages() {
-    let v = Verifier::new()
-        .skip(Stage::Frontend)
-        .skip(Stage::Analyze)
-        .skip(Stage::Compile)
-        .skip(Stage::Bound);
-    assert_eq!(v.stages(), Vec::from(Stage::ALL));
-
-    let v = v.skip(Stage::CheckDerivations).skip(Stage::Measure);
-    assert_eq!(
-        v.stages(),
-        vec![
-            Stage::Frontend,
-            Stage::Analyze,
-            Stage::Compile,
-            Stage::Bound
-        ]
-    );
 }
 
 #[test]
