@@ -14,7 +14,7 @@
 //! of the inputs (different offset bases, so a collision must defeat
 //! both streams at once). The cache is `Sync` — a `Mutex` around a
 //! plain `HashMap` — and the lock is never held across a machine run, so
-//! `--parallel-measure` workers can share one cache. Hits and misses are
+//! the `sbound serve` workers share one cache. Hits and misses are
 //! published as the `obs` counters `asm/cache_hit` / `asm/cache_miss` and
 //! mirrored in [`MeasureCache::stats`] for harnesses that run without a
 //! recorder installed.

@@ -19,6 +19,10 @@
 //! block. A jump to a label the function never defines gets no edge — the
 //! reference semantics only faults when such a jump is *taken*, so the
 //! unresolved target simply truncates that path.
+//!
+//! [`sccs`] condenses any graph given as successor lists; the call-graph
+//! clients (`stacklint`'s interprocedural bound, `vcache`'s closure keys)
+//! share it.
 
 use crate::{AsmFunction, Instr};
 use std::collections::HashMap;
@@ -138,6 +142,69 @@ impl Cfg {
     }
 }
 
+/// The strongly connected components of the graph whose node `v` has the
+/// successors `succs[v]`, in reverse topological order of the
+/// condensation: every component comes after the components it has edges
+/// into. Tarjan's algorithm with explicit DFS frames, so a deep graph
+/// cannot overflow the host stack. Roots are tried in index order and
+/// successors in list order, so the output is a pure function of `succs`.
+pub fn sccs(succs: &[Vec<usize>]) -> Vec<Vec<usize>> {
+    let n = succs.len();
+    let mut index = vec![usize::MAX; n];
+    let mut low = vec![0usize; n];
+    let mut on_stack = vec![false; n];
+    let mut stack: Vec<usize> = Vec::new();
+    let mut next_index = 0usize;
+    let mut out: Vec<Vec<usize>> = Vec::new();
+
+    // Explicit DFS frames: (node, next-successor position).
+    let mut frames: Vec<(usize, usize)> = Vec::new();
+    for root in 0..n {
+        if index[root] != usize::MAX {
+            continue;
+        }
+        frames.push((root, 0));
+        index[root] = next_index;
+        low[root] = next_index;
+        next_index += 1;
+        stack.push(root);
+        on_stack[root] = true;
+        while let Some(&mut (v, ref mut pos)) = frames.last_mut() {
+            if let Some(&w) = succs[v].get(*pos) {
+                *pos += 1;
+                if index[w] == usize::MAX {
+                    index[w] = next_index;
+                    low[w] = next_index;
+                    next_index += 1;
+                    stack.push(w);
+                    on_stack[w] = true;
+                    frames.push((w, 0));
+                } else if on_stack[w] {
+                    low[v] = low[v].min(index[w]);
+                }
+            } else {
+                frames.pop();
+                if let Some(&(parent, _)) = frames.last() {
+                    low[parent] = low[parent].min(low[v]);
+                }
+                if low[v] == index[v] {
+                    let mut component = Vec::new();
+                    loop {
+                        let w = stack.pop().expect("scc stack underflow");
+                        on_stack[w] = false;
+                        component.push(w);
+                        if w == v {
+                            break;
+                        }
+                    }
+                    out.push(component);
+                }
+            }
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,6 +262,14 @@ mod tests {
         let cfg = Cfg::of(&f(vec![Instr::Jmp(99)]));
         assert_eq!(cfg.blocks.len(), 1);
         assert!(cfg.blocks[0].succs.is_empty());
+    }
+
+    #[test]
+    fn sccs_come_callee_components_first() {
+        // 0 -> 1 <-> 2 -> 3, and 4 alone.
+        let succs = vec![vec![1], vec![2], vec![1, 3], vec![], vec![]];
+        assert_eq!(sccs(&succs), vec![vec![3], vec![2, 1], vec![0], vec![4]]);
+        assert!(sccs(&[]).is_empty());
     }
 
     #[test]

@@ -8,17 +8,15 @@
 //! cargo run -p bench --bin fig7
 //! ```
 
-use bench::SuiteOptions;
 use stackbound::{benchsuite, clight, compiler, qhl};
 
 fn main() {
     let _metrics = bench::metrics_from_args();
-    let opts = bench::suite_options_from_args();
-    sweep("bsearch", &sample_points(2, 4000, 48), &opts);
-    sweep("fact_sq", &(1..=100).collect::<Vec<i64>>(), &opts);
+    sweep("bsearch", &sample_points(2, 4000, 48));
+    sweep("fact_sq", &(1..=100).collect::<Vec<i64>>());
 }
 
-fn sweep(name: &str, points: &[i64], opts: &SuiteOptions) {
+fn sweep(name: &str, points: &[i64]) {
     let case = benchsuite::recursive_case(name).expect("case exists");
     let program = clight::frontend(case.source, &[]).expect("front end");
     case.check(&program).expect("derivation checks");
@@ -33,14 +31,11 @@ fn sweep(name: &str, points: &[i64], opts: &SuiteOptions) {
     println!("# with M({name}) = {}", compiled.metric.call_cost(name));
     println!("{:>8} {:>14} {:>14}", "x", "measured", "bound");
 
-    // Measure every point up front — under `--parallel-measure` the runs
-    // fan across threads; the asserts and printing below stay serial and
-    // in point order, so the output is byte-identical either way.
     let argsets: Vec<Vec<u32>> = points
         .iter()
         .map(|&x| (case.args_for)(x).iter().map(|a| *a as u32).collect())
         .collect();
-    let measurements = bench::measure_sweep(&compiled, name, &argsets, opts);
+    let measurements = bench::measure_sweep(&compiled, name, &argsets);
 
     let mut series = Vec::new();
     for (&x, m) in points.iter().zip(&measurements) {

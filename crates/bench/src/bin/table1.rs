@@ -11,7 +11,6 @@ use std::time::Instant;
 fn main() {
     let _metrics = bench::metrics_from_args();
     let config = bench::pipeline_config_from_args();
-    let opts = bench::suite_options_from_args();
     println!("Table 1: automatically verified stack bounds");
     println!("(bounds instantiate the analyzer's symbolic result with the");
     println!(" compiler's cost metric M(f) = SF(f) + 4)\n");
@@ -20,7 +19,7 @@ fn main() {
         "File Name", "LOC", "Function Name", "Verified Bound"
     );
     println!("{}", "-".repeat(75));
-    for prep in bench::prepare_table1_with_opts(&config, &opts) {
+    for prep in bench::prepare_table1_with(&config) {
         let started = Instant::now();
         let analysis = stackbound::analyzer::analyze(&prep.program).expect("analyzable");
         analysis.check(&prep.program).expect("derivations check");

@@ -18,11 +18,9 @@
 //! | `obs_regress` | exact-count observability baseline gate |
 //! | `obs-diff` | diff of two `--metrics-json` reports |
 //!
-//! Run them with `cargo run -p bench --bin <name>`. The suite-level
-//! binaries accept `--parallel-measure` to fan preparation and machine
-//! executions across threads with byte-identical output. Timing is not
-//! these binaries' job: the `stackbench` package at the repository root
-//! is the one benchmark, and its README lists every metric it reports.
+//! Run them with `cargo run -p bench --bin <name>`. Timing is not these
+//! binaries' job: the `stackbench` package at the repository root is the
+//! one benchmark, and its README lists every metric it reports.
 
 #![warn(missing_docs)]
 
@@ -47,49 +45,18 @@ pub struct Prepared {
     pub compiled: compiler::Compiled,
 }
 
-/// Suite-level measurement options shared by the harness binaries.
-///
-/// Parallel mode is deterministic: work is fanned out with
-/// [`stackbound::par_map`], which preserves input order, so every harness
-/// prints byte-identical output with and without `--parallel-measure`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SuiteOptions {
-    /// Fan suite preparation and machine executions across threads.
-    pub parallel_measure: bool,
-}
-
-/// Handles the harness binaries' shared suite flags:
-///
-/// * `--parallel-measure` — fan suite preparation and machine executions
-///   across threads (output stays byte-identical).
-pub fn suite_options_from_args() -> SuiteOptions {
-    SuiteOptions {
-        parallel_measure: std::env::args().skip(1).any(|a| a == "--parallel-measure"),
-    }
-}
-
 /// Analyzes and compiles every Table 1 benchmark with the default
 /// pipeline configuration, panicking with a clear message on any failure
 /// (the test suite guards these paths; the harness just reports).
 pub fn prepare_table1() -> Vec<Prepared> {
-    prepare_table1_with_opts(
-        &compiler::PipelineConfig::default(),
-        &SuiteOptions::default(),
-    )
+    prepare_table1_with(&compiler::PipelineConfig::default())
 }
 
 /// [`prepare_table1`] through an explicit [`compiler::PipelineConfig`]
-/// (parallel backend, refinement checkpoints, …), optionally fanning the
-/// per-benchmark front-end + analysis + compilation across threads
-/// ([`SuiteOptions::parallel_measure`]). The returned vector is identical
-/// either way — [`stackbound::par_map`] preserves benchmark order.
-pub fn prepare_table1_with_opts(
-    config: &compiler::PipelineConfig,
-    opts: &SuiteOptions,
-) -> Vec<Prepared> {
-    let benchmarks = stackbound::benchsuite::table1_benchmarks();
-    let prepare = |b: &stackbound::benchsuite::Benchmark| {
-        let pipeline = compiler::Pipeline::new(config.clone());
+/// (refinement checkpoints, optimization selection, …).
+pub fn prepare_table1_with(config: &compiler::PipelineConfig) -> Vec<Prepared> {
+    let pipeline = compiler::Pipeline::new(config.clone());
+    let prepare = |b: stackbound::benchsuite::Benchmark| {
         let program = b
             .program()
             .unwrap_or_else(|e| panic!("{}: front end: {e}", b.file));
@@ -110,62 +77,36 @@ pub fn prepare_table1_with_opts(
             compiled,
         }
     };
-    if opts.parallel_measure {
-        stackbound::par_map(&benchmarks, prepare)
-    } else {
-        benchmarks.iter().map(prepare).collect()
-    }
-}
-
-/// Measures the peak stack usage of every benchmark's `main`, in suite
-/// order, optionally fanning the machine runs across threads. Results are
-/// identical either way.
-pub fn measure_mains(preps: &[Prepared], opts: &SuiteOptions) -> Vec<asm::Measurement> {
-    let run = |p: &Prepared| {
-        let _s = obs::span_dyn(|| format!("measure/fn/{}:main", p.file));
-        measure_main(&p.compiled)
-    };
-    if opts.parallel_measure {
-        stackbound::par_map(preps, run)
-    } else {
-        preps.iter().map(run).collect()
-    }
+    stackbound::benchsuite::table1_benchmarks()
+        .into_iter()
+        .map(prepare)
+        .collect()
 }
 
 /// Measures `fname` on each argument vector in turn (a Figure 7 sweep),
-/// optionally fanning the runs across threads. Results are in input
-/// order and identical either way.
+/// in input order.
 pub fn measure_sweep(
     compiled: &compiler::Compiled,
     fname: &str,
     argsets: &[Vec<u32>],
-    opts: &SuiteOptions,
 ) -> Vec<asm::Measurement> {
-    let run = |args: &Vec<u32>| {
-        let _s = obs::span_dyn(|| format!("measure/fn/{fname}"));
-        measure(compiled, fname, args)
-    };
-    if opts.parallel_measure {
-        stackbound::par_map(argsets, run)
-    } else {
-        argsets.iter().map(run).collect()
-    }
+    argsets
+        .iter()
+        .map(|args| {
+            let _s = obs::span_dyn(|| format!("measure/fn/{fname}"));
+            measure(compiled, fname, args)
+        })
+        .collect()
 }
 
-/// Handles the harness binaries' shared pipeline flags:
+/// Handles the harness binaries' shared pipeline flag:
 ///
-/// * `--parallel` — fan per-function compiler passes across threads;
 /// * `--check-refinement` — run every pass's refinement checkpoint.
 pub fn pipeline_config_from_args() -> compiler::PipelineConfig {
-    let mut config = compiler::PipelineConfig::default();
-    for a in std::env::args().skip(1) {
-        match a.as_str() {
-            "--parallel" => config.parallel = true,
-            "--check-refinement" => config.check_refinement = true,
-            _ => {}
-        }
+    compiler::PipelineConfig {
+        check_refinement: std::env::args().skip(1).any(|a| a == "--check-refinement"),
+        ..compiler::PipelineConfig::default()
     }
-    config
 }
 
 /// One corpus program for the binary-level differential gate: a named C

@@ -141,8 +141,8 @@ impl fmt::Display for Expr {
 /// Sub-statements are reference-counted so the small-step interpreter can
 /// keep cheap handles to program fragments inside continuations. The
 /// count is atomic ([`Arc`], not `Rc`) so a type-checked [`Program`] can
-/// be shared across the suite harnesses' `--parallel-measure` worker
-/// threads.
+/// be sent between threads, e.g. out of the `stackbound::par_map`
+/// workers that prepare the Table 2 cases.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Stmt {
     /// `skip;` — does nothing.

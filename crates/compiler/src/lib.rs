@@ -209,8 +209,8 @@ pub fn compile(program: &clight::Program) -> Result<Compiled, CompileError> {
 /// Compiles with explicit [`Options`].
 ///
 /// This is a thin wrapper over the [`pipeline`] pass manager with the
-/// default [`PipelineConfig`] (serial, no refinement checkpoints); build
-/// a [`Pipeline`] directly for those features.
+/// default [`PipelineConfig`] (no refinement checkpoints); build a
+/// [`Pipeline`] directly to turn them on.
 ///
 /// # Errors
 ///

@@ -155,8 +155,7 @@ pub(crate) fn translate_function(
 
     // Values live across a call are caller-save casualties: spill them.
     // Iterate in register order, not HashMap order: slot assignment must be
-    // deterministic so repeated compilations (and the parallel backend) emit
-    // byte-identical code.
+    // deterministic so repeated compilations emit byte-identical code.
     let crosses_call = |iv: &Interval| call_positions.iter().any(|p| iv.start <= *p && iv.end > *p);
     let mut by_reg: Vec<(VReg, Interval)> = intervals.iter().map(|(v, iv)| (*v, *iv)).collect();
     by_reg.sort_by_key(|(v, _)| *v);

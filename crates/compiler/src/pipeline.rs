@@ -19,12 +19,6 @@
 //! at its output stage instead of translating it, and runs the refinement
 //! checkpoints on these spliced programs as on cold ones.
 //!
-//! The per-function passes additionally support a parallel mode
-//! ([`PipelineConfig::parallel`]) that fans independent function
-//! translations out across `std::thread` workers. Functions are
-//! re-assembled in program order, so parallel output is byte-identical to
-//! serial output.
-//!
 //! # Examples
 //!
 //! ```
@@ -34,10 +28,9 @@
 //!     "u32 sq(u32 x) { return x * x; }
 //!      int main() { u32 r; r = sq(6); return r + 6; }", &[]).unwrap();
 //!
-//! // A refinement-checked, parallel build.
+//! // A refinement-checked build.
 //! let config = PipelineConfig {
 //!     check_refinement: true,
-//!     parallel: true,
 //!     ..PipelineConfig::default()
 //! };
 //! let compiled = Pipeline::new(config).run(&program).unwrap();
@@ -129,9 +122,6 @@ impl Ir {
 /// Per-run context handed to every pass by the driver.
 #[derive(Debug, Clone, Copy)]
 pub struct PassContext<'a> {
-    /// Number of worker threads a per-function pass may fan out to
-    /// (`1` means serial).
-    pub workers: usize,
     /// The machine the backend passes emit code for (from
     /// [`Options::target`]).
     pub target: asm::Target,
@@ -142,24 +132,23 @@ pub struct PassContext<'a> {
 }
 
 impl PassContext<'_> {
-    /// Maps `translate` over a program's functions in order, fanned out
-    /// across [`PassContext::workers`] threads, except that a reused
-    /// function yields `cached` of its vertical.
-    fn map_functions<T: Sync, U: Send>(
+    /// Maps `translate` over a program's functions in order, stopping at
+    /// the first error, except that a reused function yields `cached` of
+    /// its vertical.
+    fn map_functions<T, U>(
         &self,
         functions: &[T],
-        name: impl Fn(&T) -> &str + Sync,
-        cached: impl Fn(&FnArtifacts) -> U + Sync,
-        translate: impl Fn(&T) -> Result<U, CompileError> + Sync,
+        name: impl Fn(&T) -> &str,
+        cached: impl Fn(&FnArtifacts) -> U,
+        translate: impl Fn(&T) -> Result<U, CompileError>,
     ) -> Result<Vec<U>, CompileError> {
-        par_map(functions, self.workers, "compile", |f| {
-            match self.reuse.get(name(f)) {
+        functions
+            .iter()
+            .map(|f| match self.reuse.get(name(f)) {
                 Some(a) => Ok(cached(a)),
                 None => translate(f),
-            }
-        })
-        .into_iter()
-        .collect()
+            })
+            .collect()
     }
 }
 
@@ -223,40 +212,6 @@ pub trait Pass: Send + Sync {
     }
 }
 
-/// Maps `f` over `items` preserving order, fanning out across at most
-/// `workers` threads named `<track>-<i>` in timelines. With `workers <= 1`
-/// (or one item) this is a serial map on the calling thread, and parallel
-/// chunks are re-assembled by index, so the result is identical either way.
-pub fn par_map<T: Sync, U: Send>(
-    items: &[T],
-    workers: usize,
-    track: &str,
-    f: impl Fn(&T) -> U + Sync,
-) -> Vec<U> {
-    let workers = workers.min(items.len());
-    if workers <= 1 {
-        return items.iter().map(f).collect();
-    }
-    let mut slots: Vec<Option<U>> = Vec::new();
-    slots.resize_with(items.len(), || None);
-    let chunk = items.len().div_ceil(workers);
-    std::thread::scope(|scope| {
-        for (w, (out, inp)) in slots.chunks_mut(chunk).zip(items.chunks(chunk)).enumerate() {
-            let f = &f;
-            scope.spawn(move || {
-                obs::register_thread(&format!("{track}-{w}"));
-                for (slot, item) in out.iter_mut().zip(inp) {
-                    *slot = Some(f(item));
-                }
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.expect("par_map: every slot is filled by its chunk's worker"))
-        .collect()
-}
-
 /// The error of a pass handed an IR stage it does not accept.
 fn wrong_stage(pass: &str, expected: &str, got: &Ir) -> CompileError {
     let got = got.stage();
@@ -280,7 +235,7 @@ fn map_rtl(
     pass: &str,
     input: &Ir,
     ctx: &PassContext<'_>,
-    transform: impl Fn(&mut rtl::RtlFunction) + Sync,
+    transform: impl Fn(&mut rtl::RtlFunction),
 ) -> Result<Ir, CompileError> {
     let p = expect_rtl(pass, input)?;
     Ok(Ir::Rtl(rtl::RtlProgram {
@@ -324,7 +279,7 @@ impl Pass for CminorGen {
     }
 }
 
-/// Cminor → RTL (CFG construction); per-function, parallelizable.
+/// Cminor → RTL (CFG construction); per-function.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RtlGen;
 
@@ -351,7 +306,7 @@ impl Pass for RtlGen {
 }
 
 /// RTL → RTL leaf inlining (off by default, see [`crate::inline`]);
-/// per-function, parallelizable.
+/// per-function.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Inline;
 
@@ -372,7 +327,7 @@ impl Pass for Inline {
     }
 }
 
-/// RTL → RTL constant propagation; per-function, parallelizable.
+/// RTL → RTL constant propagation; per-function.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ConstProp;
 
@@ -390,7 +345,7 @@ impl Pass for ConstProp {
     }
 }
 
-/// RTL → RTL dead-code elimination; per-function, parallelizable.
+/// RTL → RTL dead-code elimination; per-function.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Dce;
 
@@ -408,7 +363,7 @@ impl Pass for Dce {
     }
 }
 
-/// RTL → RTL `Nop`-chain shortening; per-function, parallelizable.
+/// RTL → RTL `Nop`-chain shortening; per-function.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Tunnel;
 
@@ -426,8 +381,7 @@ impl Pass for Tunnel {
     }
 }
 
-/// RTL → Mach (allocation, linearization, stacking); per-function,
-/// parallelizable.
+/// RTL → Mach (allocation, linearization, stacking); per-function.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MachGen;
 
@@ -461,7 +415,7 @@ impl Pass for MachGen {
     }
 }
 
-/// Mach → `ASMsz` (stack merging); per-function, parallelizable.
+/// Mach → `ASMsz` (stack merging); per-function.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AsmGen;
 
@@ -522,12 +476,6 @@ pub struct PipelineConfig {
     pub check_refinement: bool,
     /// Interpreter fuel for refinement checkpoints.
     pub check_fuel: u64,
-    /// Fan per-function passes out across worker threads. Output is
-    /// byte-identical to serial mode.
-    pub parallel: bool,
-    /// Worker-thread count for [`PipelineConfig::parallel`]; `0` (the
-    /// default) uses [`std::thread::available_parallelism`].
-    pub workers: usize,
 }
 
 impl Default for PipelineConfig {
@@ -536,8 +484,6 @@ impl Default for PipelineConfig {
             options: Options::default(),
             check_refinement: false,
             check_fuel: 20_000_000,
-            parallel: false,
-            workers: 0,
         }
     }
 }
@@ -549,17 +495,6 @@ impl PipelineConfig {
             options,
             ..PipelineConfig::default()
         }
-    }
-
-    /// The worker-thread count a run will actually use.
-    pub fn effective_workers(&self) -> usize {
-        if !self.parallel {
-            return 1;
-        }
-        if self.workers > 0 {
-            return self.workers;
-        }
-        std::thread::available_parallelism().map_or(1, |n| n.get())
     }
 }
 
@@ -722,7 +657,6 @@ impl Pipeline {
     ) -> Result<Compiled, PipelineError> {
         let _span = obs::span("compiler/compile");
         let ctx = PassContext {
-            workers: self.config.effective_workers(),
             target: self.config.options.target,
             reuse,
         };

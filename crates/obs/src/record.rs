@@ -4,7 +4,7 @@
 //! Every recording thread owns a *timeline*: a stable numeric thread id
 //! (assigned on first use, process-wide) plus its own stack of open
 //! spans. Spans nest within their thread only, so concurrent workers
-//! (`stackbound::par_map`, the parallel compiler backend) never
+//! (`stackbound::par_map`, the `sbound serve` worker pool) never
 //! interleave into each other's trees, and the Chrome-trace exporter can
 //! lay every worker out on its own track.
 

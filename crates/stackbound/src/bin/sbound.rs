@@ -32,11 +32,8 @@
 //!                       stack of exactly the verified bound
 //!     --no-measure      skip the measurement stage (bound-only batch mode)
 //!     --check-refinement run every compiler pass's refinement checkpoint
-//!     --parallel        fan per-function compiler passes across threads
 //!     --measure-all     also measure every zero-argument function on its
 //!                       own verified bound
-//!     --parallel-measure fan the machine runs across threads (implies
-//!                       --measure-all; results are byte-identical)
 //!     --cache-dir <D>   load/save a content-addressed verification cache
 //!                       (function-granular; incremental re-verification)
 //!     --cache-cap <N>   cap the persisted cache at N entries (least
@@ -66,9 +63,7 @@ struct Options {
     run: bool,
     no_measure: bool,
     check_refinement: bool,
-    parallel: bool,
     measure_all: bool,
-    parallel_measure: bool,
     cache_dir: Option<String>,
     cache_cap: Option<usize>,
     lint: bool,
@@ -85,8 +80,7 @@ struct Options {
 fn usage() -> ExitCode {
     eprintln!(
         "usage: sbound [-D NAME=VALUE]... [--target sz32|rv] [--run] [--no-measure] [--check-refinement] \
-         [--parallel] [--measure-all] [--parallel-measure] \
-         [--cache-dir DIR] [--cache-cap N] [--lint] [--emit-asm] [--metric] [--symbolic] \
+         [--measure-all] [--cache-dir DIR] [--cache-cap N] [--lint] [--emit-asm] [--metric] [--symbolic] \
          [--metrics] [--trace-json FILE] [--trace-chrome FILE] \
          [--trace-folded FILE] [--profile-stack] <file.c>\n       \
          sbound serve [--listen ADDR] [--uds PATH] [--stdio] [--workers N] [--queue-cap N] \
@@ -104,9 +98,7 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, ExitCod
         run: false,
         no_measure: false,
         check_refinement: false,
-        parallel: false,
         measure_all: false,
-        parallel_measure: false,
         cache_dir: None,
         cache_cap: None,
         lint: false,
@@ -124,12 +116,7 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, ExitCod
             "--run" => opts.run = true,
             "--no-measure" => opts.no_measure = true,
             "--check-refinement" => opts.check_refinement = true,
-            "--parallel" => opts.parallel = true,
             "--measure-all" => opts.measure_all = true,
-            "--parallel-measure" => {
-                opts.measure_all = true;
-                opts.parallel_measure = true;
-            }
             "--lint" => opts.lint = true,
             "--emit-asm" => opts.emit_asm = true,
             "--metric" => opts.metric = true,
@@ -234,12 +221,6 @@ fn main() -> ExitCode {
         || opts.trace_folded.is_some();
     let session = tracing.then(obs::install);
 
-    let pipeline = stackbound::compiler::PipelineConfig {
-        check_refinement: opts.check_refinement,
-        parallel: opts.parallel,
-        options: stackbound::compiler::Options::for_target(opts.target),
-        ..stackbound::compiler::PipelineConfig::default()
-    };
     // With `--cache-dir`, route the verification and measurement stages
     // through shared content-addressed caches, warmed from disk.
     let vcache = opts.cache_dir.as_ref().map(|dir| {
@@ -259,8 +240,8 @@ fn main() -> ExitCode {
         .params(&params)
         .measure(!opts.no_measure)
         .measure_all_functions(opts.measure_all)
-        .parallel_measure(opts.parallel_measure)
-        .pipeline(pipeline);
+        .check_refinement(opts.check_refinement)
+        .target(opts.target);
     if let Some(cache) = &vcache {
         verifier = verifier.vcache(cache.clone());
     }

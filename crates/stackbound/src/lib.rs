@@ -121,19 +121,42 @@ impl Report {
 }
 
 /// Deterministic, order-preserving parallel map over a work list on the
-/// machine's available parallelism ([`compiler::pipeline::par_map`]):
-/// results land in index order, so parallel output is byte-identical to
-/// serial output. The opt-in fan-out of [`Verifier::parallel_measure`] and
-/// the bench harnesses' `--parallel-measure`; a default verification never
-/// starts a thread.
+/// machine's available parallelism: `items` is cut into one contiguous
+/// chunk per worker thread (named `worker-<i>` in timelines) and the
+/// results land in index order, so the output equals a serial map's. With
+/// one item or one core it is a serial map on the calling thread. A
+/// verification never calls it; batch callers that hold several
+/// independent jobs (the `table2` harness's case preparation) do.
 pub fn par_map<T, U, F>(items: &[T], f: F) -> Vec<U>
 where
     T: Sync,
     U: Send,
     F: Fn(&T) -> U + Sync,
 {
-    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-    compiler::pipeline::par_map(items, workers, "worker", f)
+    let workers = std::thread::available_parallelism()
+        .map_or(1, |n| n.get())
+        .min(items.len());
+    if workers <= 1 {
+        return items.iter().map(f).collect();
+    }
+    let chunk = items.len().div_ceil(workers);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = items
+            .chunks(chunk)
+            .enumerate()
+            .map(|(w, part)| {
+                let f = &f;
+                scope.spawn(move || {
+                    obs::register_thread(&format!("worker-{w}"));
+                    part.iter().map(f).collect::<Vec<U>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
+    })
 }
 
 impl fmt::Display for Report {
@@ -208,7 +231,7 @@ impl std::error::Error for Error {}
 /// [`verify_program`] is the all-defaults instance of this builder; use
 /// a `Verifier` directly to switch the optional steps off or configure
 /// them — a no-measure batch mode, a custom interpreter fuel, a
-/// refinement-checked or parallel compile:
+/// refinement-checked compile:
 ///
 /// ```
 /// use stackbound::Verifier;
@@ -236,7 +259,6 @@ pub struct Verifier {
     measure: bool,
     pipeline: compiler::PipelineConfig,
     measure_all: bool,
-    parallel_measure: bool,
     measure_cache: Option<std::sync::Arc<asm::MeasureCache>>,
     vcache: Option<std::sync::Arc<vcache::VCache>>,
 }
@@ -258,7 +280,6 @@ impl Verifier {
             measure: true,
             pipeline: compiler::PipelineConfig::default(),
             measure_all: false,
-            parallel_measure: false,
             measure_cache: None,
             vcache: None,
         }
@@ -322,14 +343,6 @@ impl Verifier {
         self
     }
 
-    /// Replaces the whole compiler pipeline configuration (refinement
-    /// checkpoints, parallelism, optimization selection, …).
-    #[must_use]
-    pub fn pipeline(mut self, config: compiler::PipelineConfig) -> Verifier {
-        self.pipeline = config;
-        self
-    }
-
     /// In the measurement stage, additionally runs every other bounded
     /// zero-parameter function on its own verified bound (each on a fresh
     /// machine). `main` keeps its historical strict semantics — a machine
@@ -340,17 +353,6 @@ impl Verifier {
     #[must_use]
     pub fn measure_all_functions(mut self, on: bool) -> Verifier {
         self.measure_all = on;
-        self
-    }
-
-    /// Fans the measurement stage's machine runs across threads with
-    /// [`par_map`]. Results are byte-identical to a serial run and land in
-    /// the same deterministic name order; only wall clock changes. Pair
-    /// with [`Verifier::measure_all_functions`] — with `main` alone there
-    /// is nothing to fan.
-    #[must_use]
-    pub fn parallel_measure(mut self, on: bool) -> Verifier {
-        self.parallel_measure = on;
         self
     }
 
@@ -419,43 +421,32 @@ impl Verifier {
         };
         let _s = obs::span("verify/measure");
         let measures = self.measure_cache.clone().unwrap_or_default();
-        // `main` first, then (under `measure_all`) every other bounded
-        // zero-parameter function in name order — `bounds` is a BTreeMap,
-        // so the order is deterministic no matter how the measurements
-        // are scheduled.
-        let mut targets: Vec<(&str, u32)> = vec![("main", main_bound)];
-        if self.measure_all {
-            for (name, b) in &report.bounds {
-                if name != "main" && program.function(name).is_some_and(|f| f.params.is_empty()) {
-                    targets.push((name.as_str(), *b));
-                }
-            }
-        }
-        let measure_one = |&(name, bound): &(&str, u32)| {
+        let measure_one = |name: &str, bound: u32| {
             let _s = obs::span_dyn(|| format!("measure/fn/{name}"));
             measures.measure_function(&report.compiled.asm, name, &[], bound, self.fuel)
         };
-        let results = if self.parallel_measure {
-            par_map(&targets, measure_one)
-        } else {
-            targets.iter().map(measure_one).collect()
-        };
-        let mut pairs = targets.iter().zip(results);
-        let (_, main_result) = pairs.next().expect("main is always first");
-        let m = main_result.map_err(|e| Error::Machine(e.to_string()))?;
+        // `main` first, then (under `measure_all`) every other bounded
+        // zero-parameter function in name order (`bounds` is a BTreeMap).
+        let m = measure_one("main", main_bound).map_err(|e| Error::Machine(e.to_string()))?;
         if let Some(err) = m.error {
             return Err(Error::Machine(err.to_string()));
         }
         if m.behavior.converges() {
             report.measured.insert("main".to_owned(), m.stack_usage);
         }
-        for (&(name, _), r) in pairs {
-            // Helpers may legitimately fail cold (e.g. reading globals main
-            // initializes); record converging runs only instead of failing
-            // the verification.
-            if let Ok(m) = r {
-                if m.error.is_none() && m.behavior.converges() {
-                    report.measured.insert(name.to_owned(), m.stack_usage);
+        if self.measure_all {
+            for (name, &bound) in &report.bounds {
+                let zero_params = program.function(name).is_some_and(|f| f.params.is_empty());
+                if name == "main" || !zero_params {
+                    continue;
+                }
+                // Helpers may legitimately fail cold (e.g. reading globals
+                // main initializes); record converging runs only instead
+                // of failing the verification.
+                if let Ok(h) = measure_one(name, bound) {
+                    if h.error.is_none() && h.behavior.converges() {
+                        report.measured.insert(name.clone(), h.stack_usage);
+                    }
                 }
             }
         }

@@ -94,13 +94,6 @@ impl Session {
         self
     }
 
-    /// Replaces the measurement cache.
-    #[must_use]
-    pub fn measure_cache(mut self, cache: Arc<asm::MeasureCache>) -> Session {
-        self.measure_cache = cache;
-        self
-    }
-
     /// Sets the machine fuel used for every request's measurement stage.
     #[must_use]
     pub fn fuel(mut self, fuel: u64) -> Session {

@@ -19,7 +19,7 @@
 //!    declared frame size matches both what the code actually allocates
 //!    and the target's layout rules;
 //! 3. an **interprocedural worst-case bound** over the call-graph
-//!    condensation (iterative Tarjan SCCs, the same shape `vcache` uses):
+//!    condensation ([`asm::cfg::sccs`], shared with `vcache`):
 //!    an exact longest-path bound for non-recursive programs, and an
 //!    explicit [`Verdict::RecursionDetected`] carrying a real call cycle
 //!    for recursive ones.
@@ -34,7 +34,7 @@
 
 #![warn(missing_docs)]
 
-use asm::cfg::Cfg;
+use asm::cfg::{sccs, Cfg};
 use asm::{AsmFunction, AsmProgram, Instr, Operand, Reg, Target};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -531,10 +531,10 @@ fn analyze_function(f: &AsmFunction, target: Target) -> FnFacts {
     facts
 }
 
-/// Interprocedural propagation over the call-graph condensation: Tarjan's
-/// SCCs (iterative, mirroring `vcache`'s), in reverse topological order —
-/// callee components first — so each function's bound folds over already-
-/// resolved callees in one pass.
+/// Interprocedural propagation over the call-graph condensation
+/// ([`asm::cfg::sccs`]), in reverse topological order — callee components
+/// first — so each function's bound folds over already-resolved callees
+/// in one pass.
 fn condense(program: &AsmProgram, facts: &[FnFacts]) -> BTreeMap<String, Verdict> {
     let n = facts.len();
     let succs: Vec<Vec<usize>> = facts
@@ -635,66 +635,6 @@ fn find_cycle(scc: &[usize], succs: &[Vec<usize>]) -> Vec<usize> {
             .find(|&&w| in_scc(w))
             .expect("cyclic SCC member has an in-SCC successor");
     }
-}
-
-/// Strongly connected components in reverse topological order (callee
-/// components come before their callers) — Tarjan's algorithm with
-/// explicit DFS frames, mirroring `vcache::key::sccs`.
-fn sccs(succs: &[Vec<usize>]) -> Vec<Vec<usize>> {
-    let n = succs.len();
-    let mut index = vec![usize::MAX; n];
-    let mut low = vec![0usize; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut next_index = 0usize;
-    let mut out: Vec<Vec<usize>> = Vec::new();
-
-    // Explicit DFS frames: (node, next-successor position).
-    let mut frames: Vec<(usize, usize)> = Vec::new();
-    for root in 0..n {
-        if index[root] != usize::MAX {
-            continue;
-        }
-        frames.push((root, 0));
-        index[root] = next_index;
-        low[root] = next_index;
-        next_index += 1;
-        stack.push(root);
-        on_stack[root] = true;
-        while let Some(&mut (v, ref mut pos)) = frames.last_mut() {
-            if let Some(&w) = succs[v].get(*pos) {
-                *pos += 1;
-                if index[w] == usize::MAX {
-                    index[w] = next_index;
-                    low[w] = next_index;
-                    next_index += 1;
-                    stack.push(w);
-                    on_stack[w] = true;
-                    frames.push((w, 0));
-                } else if on_stack[w] {
-                    low[v] = low[v].min(index[w]);
-                }
-            } else {
-                frames.pop();
-                if let Some(&(parent, _)) = frames.last() {
-                    low[parent] = low[parent].min(low[v]);
-                }
-                if low[v] == index[v] {
-                    let mut component = Vec::new();
-                    loop {
-                        let w = stack.pop().expect("scc stack underflow");
-                        on_stack[w] = false;
-                        component.push(w);
-                        if w == v {
-                            break;
-                        }
-                    }
-                    out.push(component);
-                }
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -341,83 +341,6 @@ pub fn config_digest(options: &compiler::Options) -> Key {
     e.finish()
 }
 
-/// Tarjan's SCC algorithm over the defined-callee graph, iterative so
-/// deep call chains can't overflow the (host) stack. Returns the SCCs in
-/// reverse topological order of the condensation: every SCC appears
-/// *after* the SCCs it calls into, which is exactly the order the
-/// closure-digest fold needs.
-fn sccs(graph: &[(String, Vec<String>)]) -> Vec<Vec<usize>> {
-    let index_of: HashMap<&str, usize> = graph
-        .iter()
-        .enumerate()
-        .map(|(i, (name, _))| (name.as_str(), i))
-        .collect();
-    let succs: Vec<Vec<usize>> = graph
-        .iter()
-        .map(|(_, callees)| {
-            callees
-                .iter()
-                .filter_map(|c| index_of.get(c.as_str()).copied())
-                .collect()
-        })
-        .collect();
-
-    let n = graph.len();
-    let mut index = vec![usize::MAX; n];
-    let mut low = vec![0usize; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut next_index = 0usize;
-    let mut out: Vec<Vec<usize>> = Vec::new();
-
-    // Explicit DFS frames: (node, next-successor position).
-    let mut frames: Vec<(usize, usize)> = Vec::new();
-    for root in 0..n {
-        if index[root] != usize::MAX {
-            continue;
-        }
-        frames.push((root, 0));
-        index[root] = next_index;
-        low[root] = next_index;
-        next_index += 1;
-        stack.push(root);
-        on_stack[root] = true;
-        while let Some(&mut (v, ref mut pos)) = frames.last_mut() {
-            if let Some(&w) = succs[v].get(*pos) {
-                *pos += 1;
-                if index[w] == usize::MAX {
-                    index[w] = next_index;
-                    low[w] = next_index;
-                    next_index += 1;
-                    stack.push(w);
-                    on_stack[w] = true;
-                    frames.push((w, 0));
-                } else if on_stack[w] {
-                    low[v] = low[v].min(index[w]);
-                }
-            } else {
-                frames.pop();
-                if let Some(&(parent, _)) = frames.last() {
-                    low[parent] = low[parent].min(low[v]);
-                }
-                if low[v] == index[v] {
-                    let mut component = Vec::new();
-                    loop {
-                        let w = stack.pop().expect("scc stack underflow");
-                        on_stack[w] = false;
-                        component.push(w);
-                        if w == v {
-                            break;
-                        }
-                    }
-                    out.push(component);
-                }
-            }
-        }
-    }
-    out
-}
-
 /// Computes the content key of every defined function in `program` under
 /// the optimization selection `options`.
 ///
@@ -434,12 +357,22 @@ pub fn keys(program: &Program, options: &compiler::Options) -> BTreeMap<String, 
         .enumerate()
         .map(|(i, (name, _))| (name.as_str(), i))
         .collect();
+    // Defined callees only, by index.
+    let succs: Vec<Vec<usize>> = graph
+        .iter()
+        .map(|(_, callees)| {
+            callees
+                .iter()
+                .filter_map(|c| index_of.get(c.as_str()).copied())
+                .collect()
+        })
+        .collect();
     let ast: Vec<Key> = program.functions.iter().map(function_digest).collect();
 
     // Fold closure digests bottom-up over the SCC condensation. `sccs`
     // emits callee components first, so every successor closure is ready
     // when a component is processed.
-    let components = sccs(&graph);
+    let components = asm::cfg::sccs(&succs);
     let mut scc_of = vec![usize::MAX; graph.len()];
     for (c, members) in components.iter().enumerate() {
         for &v in members {
@@ -452,9 +385,8 @@ pub fn keys(program: &Program, options: &compiler::Options) -> BTreeMap<String, 
         member_digests.sort_unstable();
         let mut succ_closures: Vec<Key> = members
             .iter()
-            .flat_map(|&v| graph[v].1.iter())
-            .filter_map(|callee| index_of.get(callee.as_str()).copied())
-            .map(|w| scc_of[w])
+            .flat_map(|&v| &succs[v])
+            .map(|&w| scc_of[w])
             .filter(|&s| s != c)
             .map(|s| closures[s])
             .collect();

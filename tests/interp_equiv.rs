@@ -115,28 +115,6 @@ fn fuel_schedules_agree_on_table1() {
 }
 
 #[test]
-fn verifier_parallel_measurement_is_byte_identical() {
-    let src = benchsuite::table1_benchmarks()
-        .iter()
-        .find(|b| b.file == "mibench/auto/bitcount.c")
-        .unwrap()
-        .source;
-    let serial = stackbound::Verifier::new()
-        .measure_all_functions(true)
-        .verify(src)
-        .unwrap();
-    let parallel = stackbound::Verifier::new()
-        .measure_all_functions(true)
-        .parallel_measure(true)
-        .verify(src)
-        .unwrap();
-    let s: Vec<_> = serial.measured_usages().collect();
-    let p: Vec<_> = parallel.measured_usages().collect();
-    assert_eq!(s, p, "parallel measurement changed the report");
-    assert_eq!(serial.measurement, parallel.measurement);
-}
-
-#[test]
 fn measure_cache_returns_identical_measurements() {
     let b = &benchsuite::table1_benchmarks()[0];
     let p = b.program().unwrap();

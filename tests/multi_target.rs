@@ -2,10 +2,9 @@
 //! Table 2, extras) is certified and measured on *both* backend targets —
 //! the paper's 32-bit pushed-return-address machine (`sz32`) and the
 //! 8-byte-word link-register machine (`rv`). For each target the measured
-//! peak must stay within that target's own certified bound; the two
+//! peak must stay within that target's own certified bound; and the two
 //! bounds must genuinely differ (a leaked x86 assumption would make them
-//! agree, or overflow the rv machine); and the parallel backend must stay
-//! byte-identical to the serial one per target.
+//! agree, or overflow the rv machine).
 
 use stackbound::{asm, benchsuite, clight, compiler, qhl, Verifier};
 
@@ -115,35 +114,6 @@ fn recursive_cases_verify_within_bound_on_both_targets() {
         some_bound_differs,
         "no recursion-heavy program certified different bounds on sz32 vs rv"
     );
-}
-
-#[test]
-fn parallel_backend_is_byte_identical_per_target() {
-    for b in corpus() {
-        let program = b.program().unwrap();
-        for target in asm::Target::ALL {
-            let options = compiler::Options::for_target(target);
-            let serial = compiler::Pipeline::new(compiler::PipelineConfig::with_options(options))
-                .run(&program)
-                .unwrap_or_else(|e| panic!("{} [{target}]: {e}", b.file));
-            let parallel = compiler::Pipeline::new(compiler::PipelineConfig {
-                parallel: true,
-                ..compiler::PipelineConfig::with_options(options)
-            })
-            .run(&program)
-            .unwrap_or_else(|e| panic!("{} [{target}]: {e}", b.file));
-            assert_eq!(
-                serial.asm, parallel.asm,
-                "{} [{target}]: serial and parallel asm differ",
-                b.file
-            );
-            assert_eq!(
-                serial.mach, parallel.mach,
-                "{} [{target}]: serial and parallel mach differ",
-                b.file
-            );
-        }
-    }
 }
 
 #[test]
